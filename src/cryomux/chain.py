@@ -14,13 +14,13 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.constants import k as BOLTZMANN
 
+from .constants import BOLTZMANN
 from .errors import BandEdgeWarning, InputError, SingularFitError, WindowError
 from .fitkit import (
     SPECTRUM_PARAM_NAMES,
@@ -510,6 +510,32 @@ def _build_tls(raw: Any, context: str) -> TlsModel | None:
     return TlsModel(components=tuple(components), q0=q0_value)
 
 
+def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
+    """MuxConfig from a flat override object.
+
+    Keys are MuxConfig's scalar fields plus SwitchBranch's fields; each
+    value is converted to its default's type and absent keys keep the
+    default. An unknown key is rejected rather than silently ignored.
+    """
+    if not isinstance(overrides, dict):
+        raise InputError(f"{context}: config must be an object")
+    known = {f.name: f for f in fields(SwitchBranch)}
+    known.update({f.name: f for f in fields(MuxConfig) if f.name != "branch"})
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise InputError(
+            f"{context}: unknown mux config keys {unknown}; "
+            f"known keys: {sorted(known)}"
+        )
+    values = {
+        name: type(known[name].default)(value) for name, value in overrides.items()
+    }
+    branch = SwitchBranch(
+        **{f.name: values.pop(f.name) for f in fields(SwitchBranch) if f.name in values}
+    )
+    return MuxConfig(branch=branch, **values)
+
+
 def _build_stage(raw: Any, index: int, path: str) -> Stage:
     context = f"{path}: stage {index}"
     if not isinstance(raw, dict):
@@ -519,29 +545,7 @@ def _build_stage(raw: Any, index: int, path: str) -> Stage:
         if kind == "attenuator":
             return AttenuatorStage(loss_db=float(_require(raw, "loss_db", context)))
         if kind == "mux":
-            overrides = raw.get("config", {})
-            if not isinstance(overrides, dict):
-                raise InputError(f"{context}: config must be an object")
-            branch = SwitchBranch(
-                r_on=float(overrides.get("r_on", SwitchBranch().r_on)),
-                c_off=float(overrides.get("c_off", SwitchBranch().c_off)),
-            )
-            base = MuxConfig()
-            config = MuxConfig(
-                n_ports=int(overrides.get("n_ports", base.n_ports)),
-                branch=branch,
-                l_match=float(overrides.get("l_match", base.l_match)),
-                v_dd_nominal=float(
-                    overrides.get("v_dd_nominal", base.v_dd_nominal)
-                ),
-                v_th=float(overrides.get("v_th", base.v_th)),
-                subthreshold_slope=float(
-                    overrides.get("subthreshold_slope", base.subthreshold_slope)
-                ),
-                parasitic_loss_db=float(
-                    overrides.get("parasitic_loss_db", base.parasitic_loss_db)
-                ),
-            )
+            config = _build_mux_config(raw.get("config", {}), context)
             selected = raw.get("selected_port")
             return MuxStage(
                 selected_port=None if selected is None else int(selected),

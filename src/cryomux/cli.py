@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -48,7 +49,16 @@ from .rfnet import FrequencyGrid
 
 
 def _json_text(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity in a report is a bug, not an output
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _check_finite_flags(args: argparse.Namespace) -> None:
+    """Reject a non-finite value given to any float option."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be finite, got {value!r}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -355,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite_flags(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

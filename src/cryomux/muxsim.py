@@ -5,6 +5,13 @@ the supply-voltage dependent switch network S-parameters for each input port
 to the common RF port, the switching transient envelope and static
 dissipation. Each branch is a series pass transistor with a shunt transistor
 to ground on the port side, so a deselected branch reflects.
+
+A branch is a shunt admittance Y at the port, a series impedance
+Z = 1/y_series + jwL (pass transistor plus matching inductor) and a matched
+parasitic-loss pad. Its S-parameters follow in closed form from the ABCD
+matrix [[1, Z], [Y, 1 + YZ]], with no cascade of element matrices;
+``rfnet``'s element and cascade algebra builds the same network in the
+tests and serves as their oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rfnet
-from .errors import InputError, OutOfRangeError, SelectionError
+from .errors import InputError, OutOfRangeError, SelectionError, SingularNetworkError
 from .rfnet import FrequencyGrid, SMatrix
 
 # branch element defaults, calibrated against the measured band behavior:
@@ -58,7 +65,6 @@ class MuxConfig:
     v_th: float = V_TH_CRYO
     subthreshold_slope: float = SUBTHRESHOLD_SLOPE_DEFAULT
     parasitic_loss_db: float = PARASITIC_LOSS_DB_DEFAULT
-    temperature_label: str = "cryogenic"
 
     def __post_init__(self) -> None:
         if self.n_ports < 2:
@@ -68,8 +74,8 @@ class MuxConfig:
         for name in ("l_match", "v_dd_nominal", "v_th", "subthreshold_slope"):
             if not (getattr(self, name) > 0.0):
                 raise InputError(f"{name} must be positive")
-        if self.parasitic_loss_db < 0.0:
-            raise InputError("parasitic_loss_db must be non-negative")
+        if not (0.0 <= self.parasitic_loss_db < math.inf):
+            raise InputError("parasitic_loss_db must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -226,23 +232,42 @@ def branch_conductance(cfg: MuxConfig, v_dd: float) -> float:
 def _branch_two_port(
     cfg: MuxConfig, grid: FrequencyGrid, selected: bool, v_dd: float
 ) -> SMatrix:
+    """S-parameters of one branch, shunt Y then series Z then the pad.
+
+    With den = 2 + Z/z0 + Y*z0 + YZ the bare branch has
+    S11 = (Z/z0 - Y*z0 - YZ)/den, S21 = S12 = 2/den and
+    S22 = (Z/z0 - Y*z0 + YZ)/den; the matched pad of transmission t scales
+    S21 and S12 by t and S22 by t**2. Each element is clamped at
+    DEGENERATE_LIMIT as ``rfnet`` clamps it.
+    """
     omega = grid.omega
     jwc = 1j * omega * cfg.branch.c_off
     g_on = branch_conductance(cfg, v_dd)
-    g_gate_low = branch_conductance(cfg, 0.0)  # off transistor, gate held low
     if selected:
         y_series = g_on + jwc
         y_shunt = jwc  # shunt transistor held off, its capacitance remains
     else:
+        g_gate_low = branch_conductance(cfg, 0.0)  # off transistor, gate held low
         y_series = g_gate_low + jwc
         y_shunt = g_on + jwc
-    net = rfnet.cascade(
-        rfnet.shunt_element(grid, y_shunt),
-        rfnet.series_element(grid, 1.0 / y_series),
-        rfnet.lumped(grid, "inductor", cfg.l_match, "series"),
-        rfnet.s_to_abcd(rfnet.attenuator(grid, cfg.parasitic_loss_db)),
-    )
-    return rfnet.abcd_to_s(net)
+    y = rfnet.clamp_degenerate(y_shunt, "shunt admittance")
+    z_switch = rfnet.clamp_degenerate(1.0 / y_series, "series impedance")
+    z_match = rfnet.clamp_degenerate(1j * omega * cfg.l_match, "series impedance")
+    z = z_switch + z_match
+    z0 = rfnet.Z0_DEFAULT
+    zn = z / z0
+    yn = y * z0
+    yz = y * z
+    den = 2.0 + zn + yn + yz
+    if np.any(den == 0.0) or not np.all(np.isfinite(den)):
+        raise SingularNetworkError("switch branch hit a singular denominator")
+    t = 10.0 ** (-cfg.parasitic_loss_db / 20.0)
+    s = np.empty((len(grid), 2, 2), dtype=complex)
+    s[:, 0, 0] = (zn - yn - yz) / den
+    s[:, 1, 0] = 2.0 * t / den
+    s[:, 0, 1] = s[:, 1, 0]
+    s[:, 1, 1] = t * t * (zn - yn + yz) / den
+    return SMatrix(grid, s, z0)
 
 
 def mux_s_params(
@@ -254,12 +279,17 @@ def mux_s_params(
     selection carried by ``state``. The selected branch passes through its
     series transistor; deselected branches are reflective (series off, shunt
     on). With the supply removed every transistor is off and all ports look
-    identical, capacitive in both directions.
+    identical, capacitive in both directions. Every deselected port is the
+    same network, so its entries share one SMatrix.
     """
     if state.n_ports != cfg.n_ports:
         raise InputError("state and config disagree on n_ports")
+    deselected = _branch_two_port(cfg, grid, selected=False, v_dd=v_dd)
+    if state.latched_selection is None:
+        return (deselected,) * cfg.n_ports
+    selected = _branch_two_port(cfg, grid, selected=True, v_dd=v_dd)
     return tuple(
-        _branch_two_port(cfg, grid, selected=(state.latched_selection == port), v_dd=v_dd)
+        selected if port == state.latched_selection else deselected
         for port in range(cfg.n_ports)
     )
 
@@ -313,7 +343,6 @@ class PowerTable:
     """Supply current versus supply voltage, (V, A) pairs."""
 
     samples: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.9, 36.2e-6 / 0.9))
-    temperature_label: str = "millikelvin"
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
@@ -330,7 +359,7 @@ def dissipated_power(table: PowerTable, v_dd: float) -> float:
     """Static dissipation v_dd * i_dd(v_dd), interpolating the table."""
     v = np.array([p[0] for p in table.samples])
     i = np.array([p[1] for p in table.samples])
-    if v_dd < v[0] or v_dd > v[-1]:
+    if not (v[0] <= v_dd <= v[-1]):  # also rejects NaN
         raise OutOfRangeError(
             f"v_dd = {v_dd} V outside table range [{v[0]}, {v[-1]}] V"
         )

@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
+from .constants import HBAR
 from .errors import (
     DispersiveLimitError,
     DispersiveValidityWarning,
@@ -212,7 +212,7 @@ def mean_photons_from_rates(
     """
     half_width = 0.5 * (rates.kappa_pur + gamma_r)
     detuning = np.asarray(omega_drive, dtype=float) - rates.omega_r_dressed
-    flux = p_in / (hbar * rates.omega_r_dressed)
+    flux = p_in / (HBAR * rates.omega_r_dressed)
     out = rates.kappa_pur_i * flux / (detuning ** 2 + half_width ** 2)
     if np.ndim(omega_drive) == 0:
         return float(out)
@@ -228,4 +228,4 @@ def mean_photons_measurable(
     factor, the power at the cavity input in watts, and the dressed
     resonance in rad/s.
     """
-    return 2.0 * s21_peak * q_loaded * p_in / (hbar * omega_dressed ** 2)
+    return 2.0 * s21_peak * q_loaded * p_in / (HBAR * omega_dressed ** 2)

@@ -4,6 +4,11 @@ Transfer (ABCD) matrices are stored per frequency point in an (N, 2, 2)
 complex array, so cascading networks is a plain matrix product along the
 grid axis. Conversions to and from scattering parameters use a single real
 reference impedance.
+
+The switch multiplexer (``muxsim``) evaluates its branches in closed form
+and uses only the grid, S-matrix, reference impedance and clamp pieces of
+this module; the tests rebuild those branches here, element by element,
+as the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ def _per_point(grid: FrequencyGrid, value) -> np.ndarray:
     return arr
 
 
-def _clamp_degenerate(values: np.ndarray, what: str) -> np.ndarray:
+def clamp_degenerate(values: np.ndarray, what: str) -> np.ndarray:
     """Clamp magnitudes above DEGENERATE_LIMIT, preserving phase."""
     mag = np.abs(values)
     mask = mag > DEGENERATE_LIMIT
@@ -177,7 +182,7 @@ def _clamp_degenerate(values: np.ndarray, what: str) -> np.ndarray:
 
 def series_element(grid: FrequencyGrid, z) -> AbcdMatrix:
     """Series impedance z (ohm, scalar or per-frequency) as an ABCD network."""
-    z = _clamp_degenerate(_per_point(grid, z), "series impedance")
+    z = clamp_degenerate(_per_point(grid, z), "series impedance")
     m = np.zeros((len(grid), 2, 2), dtype=complex)
     m[:, 0, 0] = 1.0
     m[:, 0, 1] = z
@@ -187,7 +192,7 @@ def series_element(grid: FrequencyGrid, z) -> AbcdMatrix:
 
 def shunt_element(grid: FrequencyGrid, y) -> AbcdMatrix:
     """Shunt admittance y (siemens, scalar or per-frequency) as an ABCD network."""
-    y = _clamp_degenerate(_per_point(grid, y), "shunt admittance")
+    y = clamp_degenerate(_per_point(grid, y), "shunt admittance")
     m = np.zeros((len(grid), 2, 2), dtype=complex)
     m[:, 0, 0] = 1.0
     m[:, 1, 0] = y

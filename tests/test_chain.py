@@ -11,6 +11,7 @@ from cryomux import chain as ch
 from cryomux.errors import BandEdgeWarning, InputError
 from cryomux.fitkit import fit_power_sweep, fit_spectrum
 from cryomux.lossbudget import LossComponent, TlsModel, qi_inverse
+from cryomux.muxsim import MuxConfig, SwitchBranch
 from cryomux.resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
 
 BUNDLED_SYSTEM = CavityLerSystem(
@@ -453,6 +454,32 @@ def test_sweep_spec_validation():
         ch.SweepSpec(grid, instrument_power_dbm=-30.0, rbw_hz=0.0)
     with pytest.raises(InputError):
         ch.SweepSpec(grid, instrument_power_dbm=float("nan"))
+
+
+def test_mux_config_overrides(tmp_path):
+    path = tmp_path / "chain.json"
+
+    def load(config):
+        stages = [
+            {"type": "mux", "config": config},
+            {"type": "sample", "f_cavity_hz": 6.979e9, "f_resonator_hz": 4.779e9,
+             "g_hz": 1.075408e7, "kappa_i_hz": 2.0e6, "kappa_o_hz": 2.0e6,
+             "gamma_r_hz": 587.128},
+        ]
+        path.write_text(json.dumps({"format_version": 1, "stages": stages}))
+        return ch.load_chain_spec(str(path)).stages[0].config
+
+    assert load({}) == MuxConfig()
+    config = load({"r_on": 5, "n_ports": 8.0, "l_match": 1e-10})
+    assert config == MuxConfig(n_ports=8, branch=SwitchBranch(r_on=5.0), l_match=1e-10)
+    assert isinstance(config.n_ports, int) and isinstance(config.branch.r_on, float)
+    for bad in ({"r_onn": 5.0}, {"branch": {"r_on": 5.0}}, {"temperature_label": "4K"}):
+        with pytest.raises(InputError, match="unknown mux config key"):
+            load(bad)
+    with pytest.raises(InputError, match="stage 0"):
+        load({"c_off": "wide"})
+    with pytest.raises(InputError, match="parasitic_loss_db"):
+        load({"parasitic_loss_db": float("inf")})
 
 
 def test_mux_stage_control_state():

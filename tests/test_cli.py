@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ def test_stark_zero_chi_exits_2(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stark", "--chi", "-2e6", "--nu-r", "5.569e9", "--temp", "inf"],
+        ["stark", "--chi", "-2e6", "--nu-r", "5.569e9", "--delta-ac", "nan"],
+        ["mux-program", "--port", "1", "--vdd", "nan"],
+    ],
+    ids=["temp_inf", "delta_ac_nan", "vdd_nan"],
+)
+def test_nonfinite_flag_exits_2(capsys, argv):
+    code, captured = run(capsys, argv)
+    assert code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_stark_requires_exactly_one_input():
     with pytest.raises(SystemExit) as excinfo:
         main(["stark", "--chi", "-2e6", "--nu-r", "5.569e9"])
@@ -319,6 +336,19 @@ def test_config_dir_env_resolution(tmp_path, monkeypatch):
     code = main(["simulate", "chain.json", "sweep.json", "-o", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_misspelt_mux_config_key_exits_2(tmp_path, capsys):
+    raw = json.loads(Path(ch.example_chain_path()).read_text(encoding="utf-8"))
+    mux = next(stage for stage in raw["stages"] if stage["type"] == "mux")
+    mux["config"] = {"r_onn": 5.0}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    code, captured = run(
+        capsys, ["simulate", str(path), ch.example_sweep_path()]
+    )
+    assert code == 2
+    assert "r_onn" in captured.err
 
 
 def test_truncated_json_reports_line(tmp_path, capsys):

@@ -407,6 +407,20 @@ def test_stark_sum_matches_closed_form():
     )
 
 
+def test_stark_closed_form_at_high_temperature():
+    # where h*nu/(k*T) = r is small, 1/expm1(r) = 1/r - 1/2 + r/12 - r**3/720
+    for temperature in (1e4, 1e5):
+        r = 6.62607015e-34 * CTX.nu_r / (1.380649e-23 * temperature)
+        series = 2.0 * CTX.chi * (1.0 / r - 0.5 + r / 12.0)
+        assert_allclose(stark_forward(CTX, temperature), series, rtol=1e-12)
+    # the level sum converges once x**levels is negligible: 2e6 levels at 1e4 K
+    assert_allclose(
+        stark_forward(CTX, 1e4),
+        stark_forward(CTX, 1e4, truncation=2_000_000),
+        rtol=1e-12,
+    )
+
+
 def test_stark_zero_cases():
     assert stark_forward(CTX, 0.0) == 0.0
     assert stark_invert(CTX, 0.0) == (0.0, 0.0)
@@ -438,6 +452,11 @@ def test_stark_validation():
         stark_invert(StarkContext(chi=-2e6, nu_r=5.569e9), -1e6, convention="qubit")
     with pytest.raises(InputError):
         stark_invert(CTX, -1e6, convention="lattice")
+    with pytest.raises(InputError):
+        stark_invert(CTX, math.nan)
+    for temperature in (math.inf, math.nan, -1.0):
+        with pytest.raises(InputError):
+            stark_forward(CTX, temperature)
     with pytest.raises(InputError):
         StarkContext(chi=0.0, nu_r=5.569e9)
 
