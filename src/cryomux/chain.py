@@ -55,6 +55,18 @@ PHOTON_FIXED_POINT_RTOL = 1e-9
 # stages
 
 
+def _check_amplitude_factor(db: float, field: str) -> None:
+    """Reject a dB value whose amplitude factor 10**(db/20) is 0 or inf in doubles."""
+    try:
+        factor = 10.0 ** (db / 20.0)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise InputError(
+            f"{field} {db!r} dB has no finite, non-zero linear factor"
+        )
+
+
 @dataclass(frozen=True)
 class AttenuatorStage:
     """Frequency-flat matched pad on the input line."""
@@ -64,6 +76,7 @@ class AttenuatorStage:
     def __post_init__(self) -> None:
         if not (self.loss_db >= 0.0) or not math.isfinite(self.loss_db):
             raise InputError("attenuator loss_db must be finite and non-negative")
+        _check_amplitude_factor(-self.loss_db, "attenuator loss_db")
 
 
 @dataclass(frozen=True)
@@ -144,6 +157,7 @@ class AmplifierStage:
     def __post_init__(self) -> None:
         if not math.isfinite(self.gain_db):
             raise InputError("gain_db must be finite")
+        _check_amplitude_factor(self.gain_db, "amplifier gain_db")
         if not (self.noise_temperature_k >= 0.0):
             raise InputError("noise_temperature_k must be non-negative")
 
@@ -162,6 +176,11 @@ class ChainSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not any(isinstance(s, SampleStage) for s in self.stages):
             raise InputError("chain needs at least one sample stage")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InputError(
+                f"rng_seed must be a non-negative integer, got {seed!r}"
+            )
 
     @property
     def sample_index(self) -> int:
@@ -198,7 +217,10 @@ class SweepSpec:
 
 
 def watts_from_dbm(p_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    try:
+        return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError as exc:
+        raise InputError(f"{p_dbm!r} dBm overflows a power in watts") from exc
 
 
 def dbm_from_watts(p_w: float) -> float:
@@ -243,6 +265,11 @@ def power_at_sample(
     frequency is required as soon as the input path contains a
     frequency-dependent stage (mux or filter).
     """
+    return watts_from_dbm(instrument_power_dbm + _input_path_db(chain, frequency_hz))
+
+
+def _input_path_db(chain: ChainSpec, frequency_hz: float | None) -> float:
+    """Summed dB gain of the stages ahead of the first sample."""
     total_db = 0.0
     grid = None
     for stage in chain.stages[: chain.sample_index]:
@@ -259,7 +286,7 @@ def power_at_sample(
                 grid = FrequencyGrid(np.array([float(frequency_hz)]))
             response = _stage_response(stage, grid)[0]
             total_db += 20.0 * math.log10(abs(response))
-    return watts_from_dbm(instrument_power_dbm + total_db)
+    return total_db
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +346,67 @@ def synthesize_sweep(
     plus referred noise. Noise is complex white Gaussian injected at the
     first amplifier input with the Friis-combined noise temperature, scaled
     by resolution bandwidth and trace averaging. Without an amplifier the
-    trace is noiseless.
+    trace is noiseless. A chain whose response overflows or underflows
+    double precision on the grid is an InputError (from ComplexTrace).
     """
     if plane not in ("raw", "calibrated"):
         raise InputError(f"unknown reference plane {plane!r}")
     if rng is None:
         rng = np.random.default_rng(chain.rng_seed)
-    grid = sweep.grid
-    n = len(grid)
-    p_instr_w = watts_from_dbm(sweep.instrument_power_dbm)
+    fixed, path_db = _fixed_responses(chain, sweep.grid)
+    responses = _power_responses(
+        chain, sweep.grid, fixed, path_db, sweep.instrument_power_dbm
+    )
+    return _combine_responses(chain, sweep, responses, rng, plane)
 
-    responses = []
+
+def _fixed_responses(
+    chain: ChainSpec, grid: FrequencyGrid
+) -> tuple[list[np.ndarray | None], dict[int, float]]:
+    """Stage responses that do not depend on drive power.
+
+    A sample with a TLS model depends on it: its slot is None, and the
+    returned dict maps its index to the dB gain of the input path at its
+    dressed resonance.
+    """
+    fixed: list[np.ndarray | None] = []
+    path_db: dict[int, float] = {}
     for i, stage in enumerate(chain.stages):
         if isinstance(stage, SampleStage) and stage.tls is not None:
-            rates = purcell(stage.system)
-            p_here = power_at_sample(
-                chain, sweep.instrument_power_dbm, rates.omega_r_dressed / TWO_PI
-            )
-            stage = SampleStage(
-                system=_effective_sample_system(stage, p_here), tls=None
-            )
-        responses.append(_stage_response(stage, grid))
+            nu = purcell(stage.system).omega_r_dressed / TWO_PI
+            path_db[i] = _input_path_db(chain, nu)
+            fixed.append(None)
+        else:
+            fixed.append(_stage_response(stage, grid))
+    return fixed, path_db
+
+
+def _power_responses(
+    chain: ChainSpec,
+    grid: FrequencyGrid,
+    fixed: Sequence[np.ndarray | None],
+    path_db: dict[int, float],
+    p_dbm: float,
+) -> list[np.ndarray]:
+    """All stage responses at one instrument power: ``fixed`` with each TLS sample solved."""
+    responses = list(fixed)
+    for i, total_db in path_db.items():
+        p_sample = watts_from_dbm(p_dbm + total_db)
+        system = _effective_sample_system(chain.stages[i], p_sample)
+        responses[i] = _stage_response(SampleStage(system=system), grid)
+    return responses
+
+
+def _combine_responses(
+    chain: ChainSpec,
+    sweep: SweepSpec,
+    responses: Sequence[np.ndarray],
+    rng: np.random.Generator,
+    plane: str,
+) -> ComplexTrace:
+    """Trace from per-stage responses: the chain product plus referred noise."""
+    n = len(sweep.grid)
+    p_instr_w = watts_from_dbm(sweep.instrument_power_dbm)
 
     h_raw = np.ones(n, dtype=complex)
     h_thru = np.ones(n, dtype=complex)
@@ -378,7 +445,7 @@ def synthesize_sweep(
             sigma_trace = None
 
     signal = h_raw if plane == "raw" else h_raw / h_thru
-    return ComplexTrace(grid, signal + noise, sigma=sigma_trace)
+    return ComplexTrace(sweep.grid, signal + noise, sigma=sigma_trace)
 
 
 def run_power_series(
@@ -390,14 +457,23 @@ def run_power_series(
     does not converge are kept with the failure flagged on the result and
     a NaN photon number; the series continues past them. Each power draws
     noise from its own child seed, so inserting or removing powers does
-    not perturb the others.
+    not perturb the others. Each trace equals synthesize_sweep's
+    calibrated trace at that power and seed: every stage response except
+    that of a sample with a TLS model is computed once for the series, and
+    only such a sample is re-solved at each power.
     """
+    fixed, path_db = _fixed_responses(chain, sweep.grid)
     seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(power_list_dbm))
     series: list[tuple[float, FitResult]] = []
     for p_dbm, seed in zip(power_list_dbm, seeds):
-        sweep_p = replace(sweep, instrument_power_dbm=float(p_dbm))
-        trace = synthesize_sweep(
-            chain, sweep_p, rng=np.random.default_rng(seed), plane="calibrated"
+        p_dbm = float(p_dbm)
+        responses = _power_responses(chain, sweep.grid, fixed, path_db, p_dbm)
+        trace = _combine_responses(
+            chain,
+            replace(sweep, instrument_power_dbm=p_dbm),
+            responses,
+            np.random.default_rng(seed),
+            "calibrated",
         )
         try:
             fit = fit_spectrum(trace)
@@ -412,7 +488,7 @@ def run_power_series(
             )
         if fit.converged:
             f_fit = fit.params["f_r"]
-            p_sample = power_at_sample(chain, float(p_dbm), f_fit)
+            p_sample = power_at_sample(chain, p_dbm, f_fit)
             n_photons = photon_axis(p_sample, fit, f_fit)
         else:
             n_photons = float("nan")
@@ -591,11 +667,13 @@ def load_chain_spec(path: str) -> ChainSpec:
     stages = tuple(
         _build_stage(entry, i, path) for i, entry in enumerate(stages_raw)
     )
+    seed = raw.get("rng_seed", 0)
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
     try:
-        seed = int(raw.get("rng_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: rng_seed must be an integer") from exc
-    return ChainSpec(stages=stages, rng_seed=seed)
+        return ChainSpec(stages=stages, rng_seed=seed)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
@@ -673,12 +751,18 @@ def _parse_csv(
         row = []
         for name, text in zip(names, fields):
             try:
-                row.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise InputError(
                     f"{path}: line {lineno}: field {name!r} is not a number: "
                     f"{text.strip()!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise InputError(
+                    f"{path}: line {lineno}: field {name!r} is not finite: "
+                    f"{text.strip()!r}"
+                )
+            row.append(value)
         parsed.append((lineno, row))
     if not parsed:
         raise InputError(f"{path}: no data rows")

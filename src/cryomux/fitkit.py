@@ -6,10 +6,14 @@ saturable-loss model, and ac Stark shifts to a photon number and an
 effective temperature.
 
 The minimizer is deliberately small: damped normal equations with
-Marquardt scaling, forward-difference Jacobians, and box bounds by step
-clipping. Every fit in this package is low-dimensional and well scaled, so
-a compact implementation with fixed, documented convergence rules is
-easier to validate against hand oracles than a general-purpose wrapper.
+Marquardt scaling, a caller-supplied analytic Jacobian or else a
+forward-difference one, and box bounds by step clipping. The spectrum and
+power-sweep fits pass the closed-form Jacobians of their models; the
+forward difference serves generic callers and is the tests' oracle for the
+closed forms. Every fit in this package is low-dimensional and well
+scaled, so a compact implementation with fixed, documented convergence
+rules is easier to validate against hand oracles than a general-purpose
+wrapper.
 """
 
 from __future__ import annotations
@@ -77,14 +81,16 @@ class ComplexTrace:
             raise InputError(
                 f"s21 has shape {s21.shape}, expected ({len(self.grid)},)"
             )
+        if not np.all(np.isfinite(s21)):
+            raise InputError("s21 values must all be finite")
         s21.flags.writeable = False
         object.__setattr__(self, "s21", s21)
         if self.sigma is not None:
             sigma = np.broadcast_to(
                 np.asarray(self.sigma, dtype=float), s21.shape
             ).copy()
-            if not np.all(sigma > 0.0):
-                raise InputError("noise sigmas must all be positive")
+            if not np.all((sigma > 0.0) & (sigma < np.inf)):
+                raise InputError("noise sigmas must all be positive and finite")
             sigma.flags.writeable = False
             object.__setattr__(self, "sigma", sigma)
 
@@ -204,10 +210,14 @@ def lm_minimize(
     bounds=None,
     tol: LmTolerances | None = None,
     names: Sequence[str] | None = None,
+    jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
     """Damped least squares with Marquardt scaling and box bounds.
 
-    residuals maps a parameter vector to a 1-D residual vector. The loop
+    residuals maps a parameter vector to a 1-D residual vector. jac, when
+    given, maps the same vector to the residuals' (m, n) Jacobian and is
+    used both in the loop and for the covariance at the optimum; without
+    it both use forward differences. The loop
     accepts a trial step when the cost does not increase, dividing the
     damping by ten on acceptance and multiplying by ten on rejection.
     Convergence is declared when the relative step falls below tol.step or
@@ -239,15 +249,25 @@ def lm_minimize(
     diverged = False
     message = "iteration limit reached"
 
+    def jacobian(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if jac is None:
+            return _fd_jacobian(residuals, x, r)
+        jmat = np.asarray(jac(x), dtype=float)
+        if jmat.shape != (r.size, x.size):
+            raise InputError(
+                f"jac returned shape {jmat.shape}, expected {(r.size, x.size)}"
+            )
+        return jmat
+
     while iterations < settings.max_iter and not converged and not diverged:
         iterations += 1
-        jac = _fd_jacobian(residuals, x, r)
-        if not np.all(np.isfinite(jac)):
+        jmat = jacobian(x, r)
+        if not np.all(np.isfinite(jmat)):
             message = "non-finite residuals while forming the Jacobian"
             diverged = True
             break
-        normal = jac.T @ jac
-        gradient = jac.T @ r
+        normal = jmat.T @ jmat
+        gradient = jmat.T @ r
         scale = np.diag(normal).copy()
         scale[scale <= 0.0] = 1.0
 
@@ -293,10 +313,10 @@ def lm_minimize(
     covariance = None
     dof = r.size - x.size
     if not diverged and dof > 0:
-        jac = _fd_jacobian(residuals, x, r)
-        if np.all(np.isfinite(jac)):
+        jmat = jacobian(x, r)
+        if np.all(np.isfinite(jmat)):
             reduced = (2.0 * cost) / dof
-            normal = jac.T @ jac
+            normal = jmat.T @ jmat
             # equilibrate before inverting so that the rank cutoff acts on
             # the correlation structure, not on raw parameter scales
             d = np.sqrt(np.diag(normal))
@@ -328,25 +348,26 @@ def _spectrum_model(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 def spectrum_model_jacobian(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the stacked re/im spectrum model.
 
-    Exists to validate the finite-difference Jacobian; the fit itself
-    always differentiates numerically.
+    Rows are the real parts of the model at f followed by the imaginary
+    parts; columns follow SPECTRUM_PARAM_NAMES. fit_spectrum uses it, scaled
+    by the trace weights, for every LM step and for the covariance.
     """
     f_r, q_loaded, peak_re, peak_im, _, _ = x
+    n = f.size
     u = f / f_r - 1.0
-    denom = 1.0 + 2j * q_loaded * u
-    peak = peak_re + 1j * peak_im
-    ones = np.ones_like(denom)
-    cols = (
-        peak * (2j * q_loaded * f / f_r ** 2) / denom ** 2,
-        -peak * 2j * u / denom ** 2,
-        1.0 / denom,
-        1j / denom,
-        ones,
-        1j * ones,
-    )
-    return np.column_stack(
-        [np.concatenate([c.real, c.imag]) for c in cols]
-    )
+    inv = 1.0 / (1.0 + 2j * q_loaded * u)
+    # with g = 2j*peak/denom**2 the model's derivatives are g*q*f/f_r**2
+    # in f_r and -g*u in q_loaded
+    g = (2j * (peak_re + 1j * peak_im)) * inv * inv
+    d_fr = g * (q_loaded / f_r ** 2 * f)
+    d_q = -g * u
+    out = np.zeros((2 * n, 6))
+    for col, d in enumerate((d_fr, d_q, inv, 1j * inv)):
+        out[:n, col] = d.real
+        out[n:, col] = d.imag
+    out[:n, 4] = 1.0
+    out[n:, 5] = 1.0
+    return out
 
 
 def _half_magnitude_crossing(
@@ -438,6 +459,7 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
     f = trace.grid.points
     y = np.array(trace.s21, dtype=complex)
     weights = None if trace.sigma is None else 1.0 / trace.sigma
+    row_weights = None if weights is None else np.concatenate([weights, weights])
 
     peak0 = complex(
         seed.a_scale * (seed.q_loaded / seed.q_c_mag) * cmath.exp(1j * seed.phi)
@@ -461,6 +483,12 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
             diff = diff * weights
         return np.concatenate([diff.real, diff.imag])
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        jmat = spectrum_model_jacobian(x, f)
+        if row_weights is not None:
+            jmat *= row_weights[:, None]
+        return jmat
+
     result = lm_minimize(
         residuals,
         [
@@ -480,6 +508,7 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
             None,
         ],
         names=SPECTRUM_PARAM_NAMES,
+        jac=jacobian,
     )
 
     peak = complex(result.params["peak_re"], result.params["peak_im"])
@@ -591,11 +620,30 @@ def fit_power_sweep(
         model_loss = pd / (1.0 + n / nc) ** beta + 1.0 / q0
         return (np.log(model_loss) - target) * weight
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # the residual is weight*log(L) with L = tls + 1/q0, tls = pd/s**beta
+        # and s = 1 + n/nc, so each column is weight*(dL/dx_j)/L
+        nc = math.exp(x[1])
+        beta = x[2]
+        inv_q0 = math.exp(-x[3])
+        s = 1.0 + n / nc
+        tls = math.exp(x[0]) / s ** beta
+        w = weight / (tls + inv_q0)
+        return np.column_stack(
+            [
+                w * tls,
+                w * tls * beta * (n / nc) / s,
+                -w * tls * np.log(s),
+                -w * inv_q0,
+            ]
+        )
+
     result = lm_minimize(
         residuals,
         [math.log(pd0), math.log(nc0), 0.5, math.log(q00)],
         bounds=list(POWER_FIT_BOUNDS),
         names=POWER_PARAM_NAMES,
+        jac=jacobian,
     )
 
     pd = math.exp(result.params["log_p_tan_delta"])

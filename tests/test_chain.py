@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.constants import k as BOLTZMANN
 
 from cryomux import chain as ch
 from cryomux.errors import BandEdgeWarning, InputError
-from cryomux.fitkit import fit_power_sweep, fit_spectrum
+from cryomux.fitkit import FitResult, fit_power_sweep, fit_spectrum
 from cryomux.lossbudget import LossComponent, TlsModel, qi_inverse
 from cryomux.muxsim import MuxConfig, SwitchBranch
 from cryomux.resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -320,6 +321,60 @@ def test_run_power_series_tls_round_trip():
         assert abs(result.params[key] - truth) <= 0.15 * truth
 
 
+@pytest.mark.parametrize("tls", [None, SATURATING_TLS], ids=["no_tls", "tls"])
+def test_run_power_series_traces_match_per_power_synthesis(monkeypatch, tls):
+    system = BUNDLED_SYSTEM if tls is None else SATURATING_SYSTEM
+    stages = tuple(
+        ch.SampleStage(system=system, tls=tls) if isinstance(s, ch.SampleStage) else s
+        for s in full_chain().stages
+    )
+    chain = ch.ChainSpec(stages, rng_seed=17)
+    rates = purcell(system)
+    nu = rates.omega_r_dressed / TWO_PI
+    half = 5.0 * rates.kappa_pur / TWO_PI
+    sweep = ch.SweepSpec(
+        ch.FrequencyGrid.linspace(nu - half, nu + half, 301),
+        instrument_power_dbm=0.0,
+        averages=1000,
+    )
+    powers = [-110.0, -80.0, -50.0]
+
+    traces = []
+    calls = []
+    original_response = ch._stage_response
+
+    def fake_fit(trace):
+        traces.append(trace)
+        return FitResult({}, None, float("nan"), False, 0)
+
+    def counted_response(stage, grid):
+        calls.append(type(stage).__name__)
+        return original_response(stage, grid)
+
+    monkeypatch.setattr(ch, "fit_spectrum", fake_fit)
+    monkeypatch.setattr(ch, "_stage_response", counted_response)
+    ch.run_power_series(chain, sweep, powers)
+    hoisted_calls = list(calls)
+    monkeypatch.undo()
+
+    seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(powers))
+    for p_dbm, seed, trace in zip(powers, seeds, traces):
+        expected = ch.synthesize_sweep(
+            chain,
+            replace(sweep, instrument_power_dbm=p_dbm),
+            rng=np.random.default_rng(seed),
+            plane="calibrated",
+        )
+        assert trace.s21.tobytes() == expected.s21.tobytes()
+        assert trace.sigma.tobytes() == expected.sigma.tobytes()
+    # every stage but a TLS sample once on the grid, plus the mux once at
+    # the dressed resonance for its drive power; only that sample per power
+    per_power = len(powers) if tls is not None else 0
+    assert len(hoisted_calls) == len(chain.stages) + per_power
+    assert hoisted_calls.count("SampleStage") == max(per_power, 1)
+    assert hoisted_calls.count("MuxStage") == 1 + (tls is not None)
+
+
 def test_unpowered_mux_gives_same_q_with_larger_error_bars():
     sweep = ch.SweepSpec(bundled_grid(), instrument_power_dbm=-88.0, averages=30000)
     powered = ch.run_power_series(full_chain(seed=41, v_dd=0.9), sweep, [-88.0])
@@ -366,6 +421,16 @@ def test_trace_csv_header_and_row_diagnostics(tmp_path):
     with pytest.raises(InputError, match="no data rows"):
         ch.read_trace(str(path))
 
+    for text, field in (("nan", "s21_re"), ("-inf", "s21_im"), ("inf", "freq_hz")):
+        row = {"freq_hz": "4.1e9", "s21_re": "0.3", "s21_im": "0.4", field: text}
+        path.write_text(
+            "freq_hz,s21_re,s21_im\n4.0e9,0.1,0.2\n"
+            + ",".join(row[k] for k in ("freq_hz", "s21_re", "s21_im"))
+            + "\n"
+        )
+        with pytest.raises(InputError, match=f"line 3: field '{field}' is not finite"):
+            ch.read_trace(str(path))
+
 
 def test_power_points_csv_round_trip(tmp_path):
     points = (
@@ -379,6 +444,10 @@ def test_power_points_csv_round_trip(tmp_path):
 
     path.write_text("n_photons,q_loaded,q_uncertainty\n1.0,-2.0,3.0\n")
     with pytest.raises(InputError, match="line 2"):
+        ch.read_power_points(str(path))
+
+    path.write_text("n_photons,q_loaded,q_uncertainty\n1.0,2.0,3.0\ninf,2.0,3.0\n")
+    with pytest.raises(InputError, match="points.csv: line 3: field 'n_photons'"):
         ch.read_power_points(str(path))
 
 
@@ -444,6 +513,57 @@ def test_stage_validation():
         ch.MuxStage(selected_port=0, input_port=-1)
     with pytest.raises(InputError):
         ch.ChainSpec(stages=(ch.AttenuatorStage(3.0),))
+    # dB values whose amplitude factor is inf or 0 in double precision
+    for make, db, field in (
+        (ch.AmplifierStage, 1e308, "gain_db"),
+        (ch.AmplifierStage, 7000.0, "gain_db"),
+        (ch.AmplifierStage, -7000.0, "gain_db"),
+        (ch.AttenuatorStage, 7000.0, "loss_db"),
+    ):
+        with pytest.raises(InputError, match=field):
+            make(db)
+    assert ch.AttenuatorStage(300.0).loss_db == 300.0
+
+
+def bundled_chain_raw():
+    with open(ch.example_chain_path(), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_rng_seed_must_be_a_non_negative_integer(tmp_path, seed):
+    with pytest.raises(InputError, match="rng_seed"):
+        ch.ChainSpec(bare_chain().stages, rng_seed=seed)
+    raw = bundled_chain_raw()
+    raw["rng_seed"] = seed
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputError, match="rng_seed"):
+        ch.load_chain_spec(str(path))
+
+
+def test_rng_seed_accepts_integral_values(tmp_path):
+    assert ch.ChainSpec(bare_chain().stages, rng_seed=np.int64(5)).rng_seed == 5
+    raw = bundled_chain_raw()
+    raw["rng_seed"] = 7.0
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    assert ch.load_chain_spec(str(path)).rng_seed == 7
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_chain_response_is_an_input_error():
+    chain = ch.ChainSpec(
+        stages=(
+            ch.SampleStage(system=BUNDLED_SYSTEM),
+            ch.BandpassStage(4.9e9, 8.0e9, 1e4),
+        ),
+    )
+    sweep = ch.SweepSpec(bundled_grid(), instrument_power_dbm=-30.0)
+    with pytest.warns(BandEdgeWarning), pytest.raises(
+        InputError, match="must all be finite"
+    ):
+        ch.synthesize_sweep(chain, sweep, plane="calibrated")
 
 
 def test_sweep_spec_validation():

@@ -77,6 +77,52 @@ def test_simulate_missing_chain_file_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def edited_chain(tmp_path, edit):
+    raw = json.loads(Path(ch.example_chain_path()).read_text(encoding="utf-8"))
+    edit(raw)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_simulate_bad_rng_seed_exits_2(tmp_path, capsys, seed):
+    path = edited_chain(tmp_path, lambda raw: raw.update(rng_seed=seed))
+    out = tmp_path / "trace.csv"
+    code, captured = run(
+        capsys, ["simulate", str(path), ch.example_sweep_path(), "-o", str(out)]
+    )
+    assert code == 2
+    assert "rng_seed" in captured.err
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_flag_exits_2(capsys):
+    code, captured = run(
+        capsys,
+        ["simulate", ch.example_chain_path(), ch.example_sweep_path(), "--seed", "-1"],
+    )
+    assert code == 2
+    assert "rng_seed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "index, field, value",
+    [(6, "gain_db", 1e308), (6, "gain_db", 7000.0), (0, "loss_db", 7000.0)],
+    ids=["gain_1e308", "gain_7000", "loss_7000"],
+)
+def test_simulate_db_without_linear_factor_exits_2(tmp_path, capsys, index, field, value):
+    path = edited_chain(tmp_path, lambda raw: raw["stages"][index].update({field: value}))
+    out = tmp_path / "trace.csv"
+    code, captured = run(
+        capsys, ["simulate", str(path), ch.example_sweep_path(), "-o", str(out)]
+    )
+    assert code == 2
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- fit-spectrum
 
 
@@ -147,6 +193,27 @@ def test_fit_spectrum_malformed_csv_exits_2(tmp_path, capsys):
     code, captured = run(capsys, ["fit-spectrum", str(path)])
     assert code == 2
     assert "line 1" in captured.err
+
+
+def test_fit_spectrum_nonfinite_field_names_the_line(tmp_path, capsys):
+    trace = simulate(tmp_path, "trace.csv")
+    lines = trace.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    lines[5] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    code, captured = run(capsys, ["fit-spectrum", str(trace)])
+    assert code == 2
+    assert "line 6: field 's21_re' is not finite" in captured.err
+
+
+def test_fit_spectrum_overflowing_power_exits_2(tmp_path, capsys):
+    trace = simulate(tmp_path, "trace.csv")
+    code, captured = run(
+        capsys, ["fit-spectrum", str(trace), "--power-dbm-at-sample", "1e308"]
+    )
+    assert code == 2
+    assert "dBm" in captured.err
 
 
 # ------------------------------------------------------------- fit-power

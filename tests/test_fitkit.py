@@ -82,6 +82,31 @@ def test_linear_regression_covariance_oracle():
     eigenvalues = np.linalg.eigvalsh(result.covariance)
     assert np.all(eigenvalues >= -1e-18)
 
+    exact = lm_minimize(residuals, [0.0, 0.0], jac=lambda x: design)
+    assert exact.converged
+    assert_allclose([exact.params["x0"], exact.params["x1"]], beta, atol=1e-8)
+    assert_allclose(exact.covariance, expected, rtol=1e-9)
+
+
+def test_rosenbrock_analytic_jacobian_matches_fd_path():
+    def residuals(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    fd = lm_minimize(residuals, [-1.2, 1.0])
+    exact = lm_minimize(residuals, [-1.2, 1.0], jac=jac)
+    assert fd.converged and exact.converged
+    assert_allclose(
+        [exact.params["x0"], exact.params["x1"]],
+        [fd.params["x0"], fd.params["x1"]],
+        atol=1e-8,
+    )
+    assert_allclose([exact.params["x0"], exact.params["x1"]], [1.0, 1.0], atol=1e-8)
+    with pytest.raises(InputError, match="shape"):
+        lm_minimize(residuals, [-1.2, 1.0], jac=lambda x: jac(x).T[:1])
+
 
 def test_nonfinite_during_search_is_diverged_not_raised():
     def residuals(x):
@@ -161,6 +186,75 @@ def test_fd_jacobian_matches_analytic():
             assert np.max(np.abs(fd[:, col] - analytic[:, col])) <= 1e-5 * scale
 
 
+def spy_lm(monkeypatch, drop_jac=False):
+    """Record (residuals, jac, init, optimum) of each lm_minimize call.
+
+    With drop_jac the caller's Jacobian is withheld, which forces the
+    forward-difference path.
+    """
+    calls = []
+    original = fitkit.lm_minimize
+
+    def spy(residuals, init, jac=None, **kwargs):
+        result = original(residuals, init, jac=None if drop_jac else jac, **kwargs)
+        optimum = np.array(list(result.params.values()))
+        calls.append((residuals, jac, np.array(init, dtype=float), optimum))
+        return result
+
+    monkeypatch.setattr(fitkit, "lm_minimize", spy)
+    return calls
+
+
+def test_power_fit_jacobian_matches_fd(monkeypatch):
+    calls = spy_lm(monkeypatch)
+    rng = np.random.default_rng(5)
+    fit_power_sweep(make_power_points(**TLS_TRUTH, noise=0.02, rng=rng))
+    fit_power_sweep(
+        make_power_points(pd=2e-6, n_c=30.0, beta=0.35, q0=2e7, noise=0.01, rng=rng),
+        q_c_mag=5e7,
+    )
+    for residuals, jac, init, optimum in calls:
+        for x in (init, optimum, 0.5 * (init + optimum)):
+            analytic = jac(x)
+            fd = fitkit._fd_jacobian(residuals, x, residuals(x))
+            for col in range(x.size):
+                scale = np.max(np.abs(analytic[:, col]))
+                assert np.max(np.abs(fd[:, col] - analytic[:, col])) <= 1e-5 * scale
+
+
+C03_ARCHETYPES = (
+    LorentzianParams(1.0, 0.30 + 0.10j, 5.569e9, 1.2e4, 2.3e5, 0.15),
+    LorentzianParams(1.0, 0.20 + 0.05j, 6.100e9, 2.0e5, 8.0e5, -0.10),
+    LorentzianParams(1.0, 0.10 + 0.02j, 4.200e9, 1.5e6, 3.0e6, 0.08),
+    LorentzianParams(1.0, 0.05 + 0.02j, 4.779e9, 7.0e6, 5.0e7, 0.05),
+)
+
+
+@pytest.mark.parametrize(
+    "archetype", C03_ARCHETYPES, ids=lambda a: f"q_loaded_{a.q_loaded:g}"
+)
+def test_analytic_and_fd_spectrum_fits_agree(monkeypatch, archetype):
+    traces = [
+        lorentzian_trace(archetype, snr_db=30.0, rng=np.random.default_rng(400 + k))
+        for k in range(5)
+    ]
+    analytic = [fit_spectrum(trace) for trace in traces]
+    spy_lm(monkeypatch, drop_jac=True)
+    fd = [fit_spectrum(trace) for trace in traces]
+    for a, b in zip(analytic, fd):
+        assert a.converged and b.converged
+        assert abs(a.params["q_loaded"] - b.params["q_loaded"]) <= 0.01 * b.params["q_loaded"]
+
+
+def test_high_q_fit_converges_in_few_iterations():
+    archetype = C03_ARCHETYPES[-1]
+    for k in range(10):
+        trace = lorentzian_trace(archetype, snr_db=30.0, rng=np.random.default_rng(500 + k))
+        result = fit_spectrum(trace)
+        assert result.converged
+        assert result.iterations < 10
+
+
 # ---------------------------------------------------------------- initializer
 
 def canonical_params(**overrides):
@@ -174,6 +268,19 @@ def canonical_params(**overrides):
     )
     base.update(overrides)
     return LorentzianParams(**base)
+
+
+def test_complex_trace_rejects_nonfinite_values():
+    grid = FrequencyGrid(np.linspace(4.0e9, 4.1e9, 5))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        s21 = np.full(5, 0.5 + 0.1j)
+        s21[2] = bad
+        with pytest.raises(InputError, match="finite"):
+            ComplexTrace(grid, s21)
+    with pytest.raises(InputError, match="finite"):
+        ComplexTrace(grid, np.ones(5), sigma=np.inf)
+    with pytest.raises(InputError, match="positive"):
+        ComplexTrace(grid, np.ones(5), sigma=0.0)
 
 
 def test_estimate_initial_on_clean_trace():
