@@ -10,7 +10,6 @@ runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -30,6 +29,7 @@ from .fitkit import (
     fit_spectrum,
     photon_axis,
 )
+from .jsonfile import read_versioned
 from .lossbudget import LossComponent, TlsModel, qi_inverse
 from .muxsim import V_DD_NOMINAL, ControlState, LineLevels, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -42,7 +42,6 @@ TRACE_HEADER = "freq_hz,s21_re,s21_im"
 POINTS_HEADER = "n_photons,q_loaded,q_uncertainty"
 FLOAT_FORMAT = "%.16e"
 
-FORMAT_VERSION = 1
 CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"
 EXAMPLE_CHAIN_RESOURCE = "data/example_chain.json"
 EXAMPLE_SWEEP_RESOURCE = "data/example_sweep.json"
@@ -268,9 +267,18 @@ def power_at_sample(
     return watts_from_dbm(instrument_power_dbm + _input_path_db(chain, frequency_hz))
 
 
-def _input_path_db(chain: ChainSpec, frequency_hz: float | None) -> float:
-    """Summed dB gain of the stages ahead of the first sample."""
-    total_db = 0.0
+def _input_path_db(
+    chain: ChainSpec, frequency_hz: float | Sequence[float] | np.ndarray | None
+) -> float | np.ndarray:
+    """Summed dB gain of the stages ahead of the first sample.
+
+    frequency_hz is None (only for a frequency-independent input path), a
+    scalar, or an array; the result is a float for a scalar or None, and
+    an array of frequency_hz's shape otherwise. Frequency-dependent stages
+    are evaluated once, on one grid of the distinct frequencies.
+    """
+    freqs = None if frequency_hz is None else np.asarray(frequency_hz, dtype=float)
+    total_db = 0.0 if freqs is None else np.zeros(freqs.shape)
     grid = None
     for stage in chain.stages[: chain.sample_index]:
         if isinstance(stage, AttenuatorStage):
@@ -278,14 +286,20 @@ def _input_path_db(chain: ChainSpec, frequency_hz: float | None) -> float:
         elif isinstance(stage, AmplifierStage):
             total_db += stage.gain_db
         else:
-            if frequency_hz is None:
+            if freqs is None:
                 raise InputError(
                     "the input path is frequency dependent; pass frequency_hz"
                 )
             if grid is None:
-                grid = FrequencyGrid(np.array([float(frequency_hz)]))
-            response = _stage_response(stage, grid)[0]
-            total_db += 20.0 * math.log10(abs(response))
+                distinct, where = np.unique(freqs.reshape(-1), return_inverse=True)
+                grid = FrequencyGrid(distinct)
+            # scalar abs and log10 per point, so that a frequency gets the
+            # same bits alone as within an array (numpy's vector loops can
+            # round differently)
+            db = [20.0 * math.log10(abs(r)) for r in _stage_response(stage, grid)]
+            total_db += np.array(db)[where].reshape(freqs.shape)
+    if freqs is None or freqs.ndim == 0:
+        return float(total_db)
     return total_db
 
 
@@ -463,10 +477,10 @@ def run_power_series(
     only such a sample is re-solved at each power.
     """
     fixed, path_db = _fixed_responses(chain, sweep.grid)
-    seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(power_list_dbm))
-    series: list[tuple[float, FitResult]] = []
-    for p_dbm, seed in zip(power_list_dbm, seeds):
-        p_dbm = float(p_dbm)
+    powers = [float(p_dbm) for p_dbm in power_list_dbm]
+    seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(powers))
+    fits: list[FitResult] = []
+    for p_dbm, seed in zip(powers, seeds):
         responses = _power_responses(chain, sweep.grid, fixed, path_db, p_dbm)
         trace = _combine_responses(
             chain,
@@ -476,24 +490,26 @@ def run_power_series(
             "calibrated",
         )
         try:
-            fit = fit_spectrum(trace)
+            fits.append(fit_spectrum(trace))
         except (WindowError, SingularFitError) as exc:
-            fit = FitResult(
-                params={},
-                covariance=None,
-                residual_norm=float("nan"),
-                converged=False,
-                iterations=0,
-                message=str(exc),
+            fits.append(
+                FitResult(
+                    params={},
+                    covariance=None,
+                    residual_norm=float("nan"),
+                    converged=False,
+                    iterations=0,
+                    message=str(exc),
+                )
             )
-        if fit.converged:
-            f_fit = fit.params["f_r"]
-            p_sample = power_at_sample(chain, p_dbm, f_fit)
-            n_photons = photon_axis(p_sample, fit, f_fit)
-        else:
-            n_photons = float("nan")
-        series.append((n_photons, fit))
-    return series
+    # photon axis: the input path at every fitted f_r, evaluated on one grid
+    photons = [float("nan")] * len(fits)
+    done = [k for k, fit in enumerate(fits) if fit.converged]
+    if done:
+        f_fits = [fits[k].params["f_r"] for k in done]
+        for k, f_fit, db in zip(done, f_fits, _input_path_db(chain, f_fits).tolist()):
+            photons[k] = photon_axis(watts_from_dbm(powers[k] + db), fits[k], f_fit)
+    return list(zip(photons, fits))
 
 
 def power_points_from_series(
@@ -528,31 +544,6 @@ def resolve_config_path(path: str) -> str:
         if os.path.exists(candidate):
             return candidate
     return path
-
-
-def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
-def _check_version(raw: Any, path: str) -> None:
-    if not isinstance(raw, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
-    version = raw.get("format_version")
-    if version != FORMAT_VERSION:
-        raise InputError(
-            f"{path}: unsupported format_version {version!r}, "
-            f"expected {FORMAT_VERSION}"
-        )
 
 
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
@@ -659,8 +650,7 @@ def _build_stage(raw: Any, index: int, path: str) -> Stage:
 
 
 def load_chain_spec(path: str) -> ChainSpec:
-    raw = _read_json(path)
-    _check_version(raw, path)
+    raw = read_versioned(path)
     stages_raw = raw.get("stages")
     if not isinstance(stages_raw, list) or not stages_raw:
         raise InputError(f"{path}: expected a non-empty 'stages' list")
@@ -677,8 +667,7 @@ def load_chain_spec(path: str) -> ChainSpec:
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
-    raw = _read_json(path)
-    _check_version(raw, path)
+    raw = read_versioned(path)
     context = path
     try:
         grid = FrequencyGrid.linspace(

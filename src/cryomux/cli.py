@@ -14,7 +14,6 @@ import math
 import re
 import sys
 from dataclasses import replace
-from importlib import resources
 from typing import Any
 
 import numpy as np
@@ -31,7 +30,8 @@ from .fitkit import (
     stark_invert,
     tls_model_from_fit,
 )
-from .lossbudget import COMPONENT_TABLE_RESOURCE, budget_total, load_component_table
+from .jsonfile import FORMAT_VERSION, read_versioned
+from .lossbudget import budget_total, component_table, component_table_path
 from .muxsim import (
     T_CLK_DEFAULT,
     V_DD_NOMINAL,
@@ -86,7 +86,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
     report: dict[str, Any] = {
-        "format_version": chainmod.FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "message": result.message,
@@ -113,7 +113,7 @@ def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
         result = fit_spectrum(trace)
     except SingularFitError as exc:
         report = {
-            "format_version": chainmod.FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "converged": False,
             "error": str(exc),
         }
@@ -130,7 +130,7 @@ def _cmd_fit_power(args: argparse.Namespace) -> int:
         result = fit_power_sweep(points, q_c_mag=args.q_c_mag)
     except SingularFitError as exc:
         report = {
-            "format_version": chainmod.FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "converged": False,
             "error": str(exc),
         }
@@ -138,7 +138,7 @@ def _cmd_fit_power(args: argparse.Namespace) -> int:
         return 3
     model = tls_model_from_fit(result)
     report = {
-        "format_version": chainmod.FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "message": result.message,
@@ -162,17 +162,15 @@ def _cmd_fit_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_loss_budget(args: argparse.Namespace) -> int:
-    if args.table is not None:
-        path = chainmod.resolve_config_path(args.table)
-        table = load_component_table(path)
-        raw = chainmod._read_json(path)
+    if args.table is None:
+        path = component_table_path()
     else:
-        table = load_component_table()
-        text = (resources.files("cryomux") / COMPONENT_TABLE_RESOURCE).read_text()
-        raw = json.loads(text)
+        path = chainmod.resolve_config_path(args.table)
+    raw = read_versioned(path)
+    table = component_table(raw, path)
     notes = {
         name: entry.get("note")
-        for name, entry in raw.get("samples", {}).items()
+        for name, entry in raw["samples"].items()
         if isinstance(entry, dict)
     }
     names = sorted(table)
@@ -195,7 +193,7 @@ def _cmd_loss_budget(args: argparse.Namespace) -> int:
         if notes.get(name):
             entry["note"] = notes[name]
         samples[name] = entry
-    report = {"format_version": chainmod.FORMAT_VERSION, "samples": samples}
+    report = {"format_version": FORMAT_VERSION, "samples": samples}
     _emit(_json_text(report), args.output)
     return 0
 
@@ -203,7 +201,7 @@ def _cmd_loss_budget(args: argparse.Namespace) -> int:
 def _cmd_stark(args: argparse.Namespace) -> int:
     ctx = StarkContext(chi=args.chi, nu_r=args.nu_r, nu_q=args.nu_q)
     report: dict[str, Any] = {
-        "format_version": chainmod.FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "chi_hz": float(args.chi),
         "nu_r_hz": float(args.nu_r),
     }
@@ -241,7 +239,7 @@ def _cmd_mux_program(args: argparse.Namespace) -> int:
             state = serial_clock(state, 1 if i == args.port else 0)
         state = latch(state)
     report = {
-        "format_version": chainmod.FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "mode": args.mode,
         "selected_port": state.latched_selection,
         "programming_time_s": programming_time(

@@ -240,7 +240,7 @@ def lm_minimize(
         raise InputError(f"got {len(labels)} names for {x.size} parameters")
 
     r = np.asarray(residuals(x), dtype=float).ravel()
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise InputError("residuals are not finite at the initial point")
     cost = 0.5 * float(r @ r)
     lam = LAMBDA_INIT
@@ -262,21 +262,23 @@ def lm_minimize(
     while iterations < settings.max_iter and not converged and not diverged:
         iterations += 1
         jmat = jacobian(x, r)
-        if not np.all(np.isfinite(jmat)):
+        if not np.isfinite(jmat).all():
             message = "non-finite residuals while forming the Jacobian"
             diverged = True
             break
         normal = jmat.T @ jmat
-        gradient = jmat.T @ r
-        scale = np.diag(normal).copy()
+        neg_gradient = -(jmat.T @ r)
+        scale = normal.diagonal().copy()
         scale[scale <= 0.0] = 1.0
 
         while True:
+            damped = normal.copy()
+            damped.reshape(-1)[:: x.size + 1] += lam * scale
             try:
-                step = np.linalg.solve(normal + lam * np.diag(scale), -gradient)
+                step = np.linalg.solve(damped, neg_gradient)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.all(np.isfinite(step)):
+            if step is None or not np.isfinite(step).all():
                 lam *= LAMBDA_GROW
                 if lam > LAMBDA_MAX:
                     raise SingularFitError(
@@ -286,7 +288,7 @@ def lm_minimize(
                 continue
             trial = np.clip(x + step, lower, upper)
             r_trial = np.asarray(residuals(trial), dtype=float).ravel()
-            if not np.all(np.isfinite(r_trial)):
+            if not np.isfinite(r_trial).all():
                 lam *= LAMBDA_GROW
                 if lam > LAMBDA_MAX:
                     message = "diverged into non-finite residuals"
@@ -295,8 +297,10 @@ def lm_minimize(
                 continue
             trial_cost = 0.5 * float(r_trial @ r_trial)
             if trial_cost <= cost:
-                moved = np.linalg.norm(trial - x)
-                rel_step = moved / max(np.linalg.norm(trial), 1e-300)
+                moved = trial - x
+                rel_step = math.sqrt(moved @ moved) / max(
+                    math.sqrt(trial @ trial), 1e-300
+                )
                 rel_drop = (cost - trial_cost) / max(cost, 1e-300)
                 x, r, cost = trial, r_trial, trial_cost
                 lam = max(lam / LAMBDA_GROW, 1e-12)
@@ -314,12 +318,12 @@ def lm_minimize(
     dof = r.size - x.size
     if not diverged and dof > 0:
         jmat = jacobian(x, r)
-        if np.all(np.isfinite(jmat)):
+        if np.isfinite(jmat).all():
             reduced = (2.0 * cost) / dof
             normal = jmat.T @ jmat
             # equilibrate before inverting so that the rank cutoff acts on
             # the correlation structure, not on raw parameter scales
-            d = np.sqrt(np.diag(normal))
+            d = np.sqrt(normal.diagonal())
             d = np.where(d > 0.0, d, 1.0)
             inverse = np.linalg.pinv(normal / np.outer(d, d)) / np.outer(d, d)
             covariance = inverse * reduced
@@ -339,35 +343,71 @@ def lm_minimize(
 # spectrum fitting
 
 
-def _spectrum_model(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    f_r, q_loaded, peak_re, peak_im, off_re, off_im = x
-    denom = 1.0 + 2j * q_loaded * (f / f_r - 1.0)
-    return (peak_re + 1j * peak_im) / denom + (off_re + 1j * off_im)
+def _spectrum_inv(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The model's resonant factor 1/(1 + 2j*q_loaded*(f/f_r - 1)) at x."""
+    u = f / x[0]
+    u -= 1.0
+    denom = u * (2j * x[1])
+    denom += 1.0
+    return np.divide(1.0, denom, out=denom)
 
 
-def spectrum_model_jacobian(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the stacked re/im spectrum model.
+def _spectrum_model(
+    x: np.ndarray, f: np.ndarray, inv: np.ndarray | None = None
+) -> np.ndarray:
+    """peak*inv + offset; inv is _spectrum_inv(x, f), computed when not given."""
+    if inv is None:
+        inv = _spectrum_inv(x, f)
+    model = inv * complex(x[2], x[3])
+    model += complex(x[4], x[5])
+    return model
 
-    Rows are the real parts of the model at f followed by the imaginary
-    parts; columns follow SPECTRUM_PARAM_NAMES. fit_spectrum uses it, scaled
-    by the trace weights, for every LM step and for the covariance.
+
+def spectrum_model_jacobian(
+    x: np.ndarray,
+    f: np.ndarray,
+    weights: np.ndarray | None = None,
+    inv: np.ndarray | None = None,
+) -> np.ndarray:
+    """Analytic Jacobian of the spectrum model, rows interleaved re/im.
+
+    Rows 2k and 2k+1 are the real and imaginary parts of the derivatives
+    at f[k], the layout of ``diff.view(float)`` for a complex difference
+    ``diff``; columns follow SPECTRUM_PARAM_NAMES. weights, when given,
+    scale both rows of each point. inv is _spectrum_inv(x, f), computed
+    here when not given. The result is the (2n, 6) view of one (6, n)
+    complex array, so its transpose is C-contiguous and J.T @ J and
+    J.T @ r each run as one matrix product. fit_spectrum uses it, with
+    the trace weights, for every LM step and for the covariance.
     """
     f_r, q_loaded, peak_re, peak_im, _, _ = x
-    n = f.size
-    u = f / f_r - 1.0
-    inv = 1.0 / (1.0 + 2j * q_loaded * u)
-    # with g = 2j*peak/denom**2 the model's derivatives are g*q*f/f_r**2
-    # in f_r and -g*u in q_loaded
-    g = (2j * (peak_re + 1j * peak_im)) * inv * inv
-    d_fr = g * (q_loaded / f_r ** 2 * f)
-    d_q = -g * u
-    out = np.zeros((2 * n, 6))
-    for col, d in enumerate((d_fr, d_q, inv, 1j * inv)):
-        out[:n, col] = d.real
-        out[n:, col] = d.imag
-    out[:n, 4] = 1.0
-    out[n:, 5] = 1.0
-    return out
+    if inv is None:
+        inv = _spectrum_inv(x, f)
+    peak = complex(peak_re, peak_im)
+    cols = np.empty((6, inv.size), dtype=complex)
+    d_fr, d_q, winv, wjinv, w_re, w_im = cols
+    if weights is None:
+        winv[:] = inv
+        w_re[:] = 1.0
+        w_im[:] = 1j
+    else:
+        np.multiply(inv, weights, out=winv)
+        w_re[:] = weights
+        np.multiply(weights, 1j, out=w_im)
+    np.multiply(winv, 1j, out=wjinv)
+    # with g = 2j*peak*inv**2 and u = f/f_r - 1 the model's derivatives
+    # are -g*u in q_loaded and g*(1 + u)*q_loaded/f_r in f_r; since
+    # 2j*q_loaded*u*inv = 1 - inv, the first is peak*inv*(inv - 1)/q_loaded
+    # and the second (g - d_q)*q_loaded/f_r, so neither needs u (each
+    # column below also carries the point's weight)
+    np.subtract(inv, 1.0, out=d_q)
+    d_q *= winv
+    d_q *= peak / q_loaded
+    np.multiply(inv, winv, out=d_fr)
+    d_fr *= 2j * peak
+    d_fr -= d_q
+    d_fr *= q_loaded / f_r
+    return cols.view(float).T
 
 
 def _half_magnitude_crossing(
@@ -444,7 +484,8 @@ SPECTRUM_PARAM_NAMES = (
 def fit_spectrum(trace: ComplexTrace) -> FitResult:
     """Fit the complex-coupling Lorentzian to a transmission trace.
 
-    Residuals are the stacked real and imaginary parts, weighted by the
+    Residuals are the real and imaginary parts of the model minus the
+    data, interleaved per point (re, im, re, im, ...), weighted by the
     trace sigmas when present. The model's scale, phase, and coupling Q
     enter only as one complex product, so the reported parameters use the
     unit-scale gauge: a_scale is 1, phi carries the peak's phase, and
@@ -459,35 +500,45 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
     f = trace.grid.points
     y = np.array(trace.s21, dtype=complex)
     weights = None if trace.sigma is None else 1.0 / trace.sigma
-    row_weights = None if weights is None else np.concatenate([weights, weights])
 
     peak0 = complex(
         seed.a_scale * (seed.q_loaded / seed.q_c_mag) * cmath.exp(1j * seed.phi)
     )
     offset0 = complex(seed.b_offset)
     z = y - offset0
-    core = np.abs(z) >= 0.5 * np.max(np.abs(z))
+    mag = np.abs(z)
+    core = mag >= 0.5 * mag.max()
     conjugated = False
     if np.count_nonzero(core) >= 3:
+        # the sign of the least-squares slope of phase against frequency
         phase = np.unwrap(np.angle(z[core]))
-        slope = np.polyfit(f[core], phase, 1)[0]
-        conjugated = slope > 0.0
+        f_core = f[core]
+        f_core = f_core - f_core.mean()
+        conjugated = float(f_core @ (phase - phase.mean())) > 0.0
     if conjugated:
         y = np.conj(y)
         peak0 = peak0.conjugate()
         offset0 = offset0.conjugate()
 
+    # the residual and the Jacobian at the same x share 1/denom; the key is
+    # x's bytes, so a value seen before hits and any other value misses
+    last = [b"", None]
+
+    def inv_at(x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        if key != last[0]:
+            last[0], last[1] = key, _spectrum_inv(x, f)
+        return last[1]
+
     def residuals(x: np.ndarray) -> np.ndarray:
-        diff = _spectrum_model(x, f) - y
+        diff = _spectrum_model(x, f, inv_at(x))
+        diff -= y
         if weights is not None:
-            diff = diff * weights
-        return np.concatenate([diff.real, diff.imag])
+            diff *= weights
+        return diff.view(float)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        jmat = spectrum_model_jacobian(x, f)
-        if row_weights is not None:
-            jmat *= row_weights[:, None]
-        return jmat
+        return spectrum_model_jacobian(x, f, weights, inv_at(x))
 
     result = lm_minimize(
         residuals,

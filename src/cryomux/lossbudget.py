@@ -10,14 +10,15 @@ product to extract an unknown loss tangent from a measured Q.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, InputError
+from .jsonfile import read_versioned
 
 #: photon saturation level assumed when a component table does not give one
 N_C_DEFAULT = 1.0
@@ -151,6 +152,8 @@ def budget_total(
     """Unsaturated loss budget: participation times loss tangent, summed.
 
     Accepts LossComponent entries or bare (participation, tan_delta) pairs.
+    A total that is zero, infinite, or so small that its inverse overflows
+    has no finite quality factor and is a BudgetError.
     """
     per: list[tuple[str, float]] = []
     for index, comp in enumerate(components):
@@ -165,11 +168,12 @@ def budget_total(
         if not q0 > 0.0:
             raise InputError(f"q0 must be positive, got {q0!r}")
         total += 1.0 / q0
-    if total == 0.0:
+    q_factor = 1.0 / total if total > 0.0 else math.inf
+    if not (math.isfinite(total) and math.isfinite(q_factor)):
         raise BudgetError(
-            "total loss is zero; the implied quality factor is unbounded"
+            f"total loss {total!r} implies no finite quality factor"
         )
-    return BudgetResult(tuple(per), total, 1.0 / total)
+    return BudgetResult(tuple(per), total, q_factor)
 
 
 def weighted_participation(split: RegionEnergySplit, dielectric: str) -> float:
@@ -210,31 +214,25 @@ def extract_tan_delta(
     return residual / participation
 
 
+def component_table_path() -> str:
+    """Path of the component table bundled with the package."""
+    return str(resources.files("cryomux") / COMPONENT_TABLE_RESOURCE)
+
+
 def load_component_table(path: str | None = None) -> dict[str, tuple[LossComponent, ...]]:
     """Read a JSON table of per-sample loss components.
 
     With no path the table bundled with the package is used. The file maps
     sample names to component lists; n_c and beta are optional per entry.
     """
-    if path is None:
-        text = (resources.files("cryomux") / COMPONENT_TABLE_RESOURCE).read_text()
-        source = COMPONENT_TABLE_RESOURCE
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read component table {path!r}: {exc}") from exc
-        source = path
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: not valid JSON ({exc})") from exc
-    version = raw.get("format_version")
-    if version != 1:
-        raise InputError(
-            f"{source}: unsupported format_version {version!r}, expected 1"
-        )
+    source = component_table_path() if path is None else path
+    return component_table(read_versioned(source), source)
+
+
+def component_table(
+    raw: Mapping[str, Any], source: str
+) -> dict[str, tuple[LossComponent, ...]]:
+    """Components per sample from a parsed table file (see load_component_table)."""
     samples = raw.get("samples")
     if not isinstance(samples, dict) or not samples:
         raise InputError(f"{source}: expected a non-empty 'samples' mapping")

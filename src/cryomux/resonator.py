@@ -13,6 +13,7 @@ in Hz because that is what instruments record.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -87,12 +88,12 @@ class PurcellRates:
         if self.kappa_pur_i < 0.0 or self.kappa_pur_o < 0.0:
             raise InputError("Purcell rates cannot be negative")
         total = self.kappa_pur_i + self.kappa_pur_o
-        if not np.isclose(self.kappa_pur, total, rtol=1e-12, atol=0.0):
+        if not math.isclose(self.kappa_pur, total, rel_tol=1e-12, abs_tol=0.0):
             raise InputError(
                 f"kappa_pur {self.kappa_pur!r} must equal the sum of the "
                 f"port rates {total!r}"
             )
-        if not (np.isfinite(self.omega_r_dressed) and self.omega_r_dressed > 0.0):
+        if not (math.isfinite(self.omega_r_dressed) and self.omega_r_dressed > 0.0):
             raise InputError("omega_r_dressed must be finite and positive")
 
 

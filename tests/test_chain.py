@@ -10,7 +10,7 @@ from scipy.constants import k as BOLTZMANN
 
 from cryomux import chain as ch
 from cryomux.errors import BandEdgeWarning, InputError
-from cryomux.fitkit import FitResult, fit_power_sweep, fit_spectrum
+from cryomux.fitkit import FitResult, fit_power_sweep, fit_spectrum, photon_axis
 from cryomux.lossbudget import LossComponent, TlsModel, qi_inverse
 from cryomux.muxsim import MuxConfig, SwitchBranch
 from cryomux.resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -375,6 +375,55 @@ def test_run_power_series_traces_match_per_power_synthesis(monkeypatch, tls):
     assert hoisted_calls.count("MuxStage") == 1 + (tls is not None)
 
 
+def mux_series_setup(tls):
+    """Full chain (mux on the input path) with the sample and a grid around it."""
+    system = BUNDLED_SYSTEM if tls is None else SATURATING_SYSTEM
+    stages = tuple(
+        ch.SampleStage(system=system, tls=tls) if isinstance(s, ch.SampleStage) else s
+        for s in full_chain().stages
+    )
+    rates = purcell(system)
+    nu = rates.omega_r_dressed / TWO_PI
+    width = (rates.kappa_pur + system.gamma_r) / TWO_PI
+    if tls is not None:
+        width += nu * qi_inverse(tls, 0.0)
+    grid = ch.FrequencyGrid.linspace(nu - 10.0 * width, nu + 10.0 * width, 801)
+    return ch.ChainSpec(stages, rng_seed=23), ch.SweepSpec(grid, 0.0, averages=30000)
+
+
+@pytest.mark.parametrize("tls", [None, SATURATING_TLS], ids=["no_tls", "tls"])
+def test_run_power_series_photon_axis_matches_per_power(tls):
+    chain, sweep = mux_series_setup(tls)
+    powers = [-94.0, -88.0, -82.0, -76.0]
+    series = ch.run_power_series(chain, sweep, powers)
+    for p_dbm, (n_photons, fit) in zip(powers, series):
+        assert fit.converged
+        f_fit = fit.params["f_r"]
+        expected = photon_axis(ch.power_at_sample(chain, p_dbm, f_fit), fit, f_fit)
+        assert_allclose(n_photons, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("tls", [None, SATURATING_TLS], ids=["no_tls", "tls"])
+def test_run_power_series_mux_calls_do_not_grow_with_powers(monkeypatch, tls):
+    chain, sweep = mux_series_setup(tls)
+    calls = []
+    original = ch.mux_s_params
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "mux_s_params", counted)
+    per_series = []
+    for powers in ([-90.0, -84.0], [-94.0, -90.0, -86.0, -82.0, -78.0]):
+        calls.clear()
+        series = ch.run_power_series(chain, sweep, powers)
+        assert all(fit.converged for _, fit in series)
+        per_series.append(len(calls))
+    # the grid, the photon axis, and for a TLS sample its dressed resonance
+    assert per_series == [2 + (tls is not None)] * 2
+
+
 def test_unpowered_mux_gives_same_q_with_larger_error_bars():
     sweep = ch.SweepSpec(bundled_grid(), instrument_power_dbm=-88.0, averages=30000)
     powered = ch.run_power_series(full_chain(seed=41, v_dd=0.9), sweep, [-88.0])
@@ -491,6 +540,16 @@ def test_chain_json_diagnostics(tmp_path):
 
     with pytest.raises(InputError, match="cannot read"):
         ch.load_chain_spec(str(tmp_path / "missing.json"))
+
+
+def test_versioned_json_rejects_boolean_version_and_undecodable_file(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text('{"format_version": true, "stages": []}')
+    with pytest.raises(InputError, match="unsupported format_version True"):
+        ch.load_chain_spec(str(path))
+    path.write_bytes(b'{"format_version": 1, "stages": ["\xff"]}')
+    with pytest.raises(InputError, match="cannot read"):
+        ch.load_chain_spec(str(path))
 
 
 def test_sweep_json_diagnostics(tmp_path):

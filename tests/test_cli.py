@@ -280,6 +280,27 @@ def test_loss_budget_unknown_sample_exits_2(capsys):
     assert "standard_si" in captured.err
 
 
+def test_loss_budget_top_level_array_exits_2(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text("[1, 2]")
+    code, captured = run(capsys, ["loss-budget", str(table)])
+    assert code == 2
+    assert "top level must be a JSON object" in captured.err
+    assert captured.out == ""
+
+
+def test_loss_budget_without_finite_q_exits_2(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    row = {"name": "film", "participation": 1.0, "tan_delta": 1e-320}
+    table.write_text(
+        json.dumps({"format_version": 1, "samples": {"s": {"components": [row]}}})
+    )
+    code, captured = run(capsys, ["loss-budget", str(table)])
+    assert code == 2
+    assert "no finite quality factor" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------- stark
 
 

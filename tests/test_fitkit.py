@@ -176,7 +176,7 @@ def test_fd_jacobian_matches_analytic():
 
         def residuals(v):
             diff = fitkit._spectrum_model(v, f) - y
-            return np.concatenate([diff.real, diff.imag])
+            return diff.view(float)
 
         r0 = residuals(x)
         fd = fitkit._fd_jacobian(residuals, x, r0)
@@ -220,6 +220,98 @@ def test_power_fit_jacobian_matches_fd(monkeypatch):
             for col in range(x.size):
                 scale = np.max(np.abs(analytic[:, col]))
                 assert np.max(np.abs(fd[:, col] - analytic[:, col])) <= 1e-5 * scale
+
+
+# the forward difference's truncation error grows with Q; at Q_L = 15 it is
+# about 3e-6 of a column's scale, well inside the 1e-5 comparison
+LOW_Q_LINE = LorentzianParams(1.0, 0.30 + 0.10j, 5.0e9, 15.0, 50.0, 0.4)
+
+
+def low_q_traces():
+    """Weighted, unweighted and conjugated noisy traces of LOW_Q_LINE."""
+    noisy = lorentzian_trace(LOW_Q_LINE, snr_db=30.0, rng=np.random.default_rng(61))
+    return {
+        "weighted": noisy,
+        "unweighted": ComplexTrace(noisy.grid, noisy.s21),
+        "conjugated": ComplexTrace(noisy.grid, np.conj(noisy.s21), noisy.sigma),
+    }
+
+
+@pytest.mark.parametrize("kind", ["weighted", "unweighted", "conjugated"])
+def test_spectrum_fit_jacobian_matches_fd(monkeypatch, kind):
+    calls = spy_lm(monkeypatch)
+    result = fit_spectrum(low_q_traces()[kind])
+    assert result.converged
+    assert ("conjugated" in result.message) == (kind == "conjugated")
+    (residuals, jac, init, optimum), = calls
+    for x in (init, optimum, 0.5 * (init + optimum)):
+        analytic = jac(x)
+        fd = fitkit._fd_jacobian(residuals, x, residuals(x))
+        for col in range(x.size):
+            scale = np.max(np.abs(analytic[:, col]))
+            assert np.max(np.abs(fd[:, col] - analytic[:, col])) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("kind", ["weighted", "unweighted", "conjugated"])
+def test_spectrum_jacobian_never_uses_a_stale_denominator(monkeypatch, kind):
+    """jac(x) and residuals(x) do not depend on what was evaluated before."""
+    captured = []
+
+    def capture(residuals, init, jac=None, names=None, **kwargs):
+        captured.append((residuals, jac, np.array(init, dtype=float)))
+        return FitResult(dict(zip(names, init)), None, 0.0, False, 0)
+
+    trace = low_q_traces()[kind]
+    monkeypatch.setattr(fitkit, "lm_minimize", capture)
+    for _ in range(3):
+        fit_spectrum(trace)
+    (residuals, jac, x_a), (fresh_res_a, _, _), (fresh_res_b, _, _) = captured
+    x_b = x_a * (1.0 + 1e-3)
+    weights = None if trace.sigma is None else 1.0 / trace.sigma
+
+    def direct(x):
+        return spectrum_model_jacobian(x, trace.grid.points, weights).tobytes()
+
+    res_a = fresh_res_a(x_a).tobytes()
+    res_b = fresh_res_b(x_b).tobytes()
+    assert jac(x_a).tobytes() == direct(x_a)  # nothing evaluated yet
+    assert residuals(x_b).tobytes() == res_b
+    assert jac(x_a).tobytes() == direct(x_a)  # residual last at another x
+    assert residuals(x_a).tobytes() == res_a
+    assert jac(x_a).tobytes() == direct(x_a)  # residual last at this x
+    assert jac(x_b).tobytes() == direct(x_b)
+    assert residuals(x_a).tobytes() == res_a  # Jacobian last at another x
+    fitkit._fd_jacobian(residuals, x_a, residuals(x_a))
+    assert jac(x_a).tobytes() == direct(x_a)  # forward-difference probes last
+    assert jac(x_a.copy()).tobytes() == direct(x_a)
+    assert direct(x_a) != direct(x_b)
+
+
+def test_spectrum_fit_jacobian_reuses_the_residuals_denominator(monkeypatch):
+    inv_calls = []
+    residual_calls = []
+    original_inv = fitkit._spectrum_inv
+    original_lm = fitkit.lm_minimize
+
+    def counted_inv(x, f):
+        inv_calls.append(1)
+        return original_inv(x, f)
+
+    def counted_lm(residuals, *args, **kwargs):
+        def counted_residuals(x):
+            residual_calls.append(1)
+            return residuals(x)
+
+        return original_lm(counted_residuals, *args, **kwargs)
+
+    monkeypatch.setattr(fitkit, "_spectrum_inv", counted_inv)
+    monkeypatch.setattr(fitkit, "lm_minimize", counted_lm)
+    for trace in low_q_traces().values():
+        result = fit_spectrum(trace)
+        assert result.converged and result.iterations >= 2
+    # every Jacobian is taken at an accepted point, where the residual has
+    # just computed 1/denom
+    assert len(inv_calls) == len(residual_calls)
 
 
 C03_ARCHETYPES = (

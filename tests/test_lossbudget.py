@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ def test_budget_all_zero_is_flagged():
         budget_total([(0.0, 1e-3), (0.5, 0.0)])
 
 
+def test_budget_without_finite_q_is_flagged():
+    # 1/1e-320 overflows; an infinite or NaN total has no quality factor either
+    for components in (
+        [(1.0, 1e-320)],
+        [(1.0, math.inf)],
+        [(0.0, math.inf)],
+        [(1.0, 1e308), (1.0, 1e308)],
+    ):
+        with pytest.raises(BudgetError, match="no finite quality factor"):
+            budget_total(components)
+
+
 # ---------------------------------------------------------------- extraction
 
 def test_extract_capping_nitride_tangent():
@@ -232,6 +245,14 @@ def test_component_table_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(InputError, match="bad component row"):
         load_component_table(str(bad))
+
+
+def test_component_table_rejects_non_object_top_level(tmp_path):
+    for text in ("[1, 2]", "3", "null"):
+        bad = tmp_path / "components.json"
+        bad.write_text(text)
+        with pytest.raises(InputError, match="top level must be a JSON object"):
+            load_component_table(str(bad))
 
 
 def test_component_table_missing_file():

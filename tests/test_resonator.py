@@ -72,6 +72,16 @@ def test_field_validation():
         PurcellRates(1.0, 1.0, 3.0, TWO_PI * 5e9)
 
 
+def test_purcell_rates_sum_check_is_relative_1e12():
+    total = TWO_PI * 125.0
+    PurcellRates(0.5 * total, 0.5 * total, total * (1.0 + 1e-13), TWO_PI * 5e9)
+    for mismatch in (1e-11, -1e-11):
+        with pytest.raises(InputError, match="sum of the port rates"):
+            PurcellRates(
+                0.5 * total, 0.5 * total, total * (1.0 + mismatch), TWO_PI * 5e9
+            )
+
+
 def test_purcell_power_laws():
     g_grid = TWO_PI * np.array([1e6, 2e6, 4e6, 8e6])
     k = np.array([resonator.purcell(make_system(g=g)).kappa_pur for g in g_grid])
