@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Any
 
 import numpy as np
@@ -69,6 +69,13 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
+def _fit_failed(exc: SingularFitError, output: str | None) -> int:
+    """Report a fit whose normal equations stayed singular; exit code 3."""
+    report = {"format_version": FORMAT_VERSION, "converged": False, "error": str(exc)}
+    _emit(_json_text(report), output)
+    return 3
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -112,13 +119,7 @@ def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
     try:
         result = fit_spectrum(trace)
     except SingularFitError as exc:
-        report = {
-            "format_version": FORMAT_VERSION,
-            "converged": False,
-            "error": str(exc),
-        }
-        _emit(_json_text(report), args.output)
-        return 3
+        return _fit_failed(exc, args.output)
     report, code = _spectrum_report(result, args.power_dbm_at_sample)
     _emit(_json_text(report), args.output)
     return code
@@ -129,13 +130,7 @@ def _cmd_fit_power(args: argparse.Namespace) -> int:
     try:
         result = fit_power_sweep(points, q_c_mag=args.q_c_mag)
     except SingularFitError as exc:
-        report = {
-            "format_version": FORMAT_VERSION,
-            "converged": False,
-            "error": str(exc),
-        }
-        _emit(_json_text(report), args.output)
-        return 3
+        return _fit_failed(exc, args.output)
     model = tls_model_from_fit(result)
     report = {
         "format_version": FORMAT_VERSION,
@@ -144,16 +139,7 @@ def _cmd_fit_power(args: argparse.Namespace) -> int:
         "message": result.message,
         "model": {
             "q0": float(model.q0),
-            "components": [
-                {
-                    "name": c.name,
-                    "participation": float(c.participation),
-                    "tan_delta": float(c.tan_delta),
-                    "n_c": float(c.n_c),
-                    "beta": float(c.beta),
-                }
-                for c in model.components
-            ],
+            "components": [asdict(c) for c in model.components],
         },
         "q_single_photon_limit": float(result.params["q_single_photon_limit"]),
     }
@@ -251,18 +237,13 @@ def _cmd_mux_program(args: argparse.Namespace) -> int:
     if args.output is not None:
         grid = FrequencyGrid.linspace(args.f_start_hz, args.f_stop_hz, args.points)
         branches = mux_s_params(config, state, args.vdd, grid)
-        header = ["freq_hz"]
-        for port in range(config.n_ports):
-            header.append(f"port{port}_s21_re")
-            header.append(f"port{port}_s21_im")
-        rows = [",".join(header)]
-        for idx, f in enumerate(grid.points):
-            fields = [chainmod.FLOAT_FORMAT % f]
-            for port in range(config.n_ports):
-                s21 = branches[port].s21[idx]
-                fields.append(chainmod.FLOAT_FORMAT % s21.real)
-                fields.append(chainmod.FLOAT_FORMAT % s21.imag)
-            rows.append(",".join(fields))
+        s21 = np.stack([branch.s21 for branch in branches], axis=1).view(float)
+        names = [f"port{p}_s21_{part}" for p in range(config.n_ports) for part in ("re", "im")]
+        rows = [",".join(["freq_hz"] + names)]
+        rows += [
+            ",".join(chainmod.FLOAT_FORMAT % v for v in (f, *row))
+            for f, row in zip(grid.points, s21)
+        ]
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(rows) + "\n")
     sys.stdout.write(_json_text(report))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -413,15 +413,16 @@ def spectrum_model_jacobian(
 def _half_magnitude_crossing(
     f: np.ndarray, mag: np.ndarray, peak_idx: int, direction: int, level: float
 ) -> float | None:
-    i = peak_idx
-    while 0 <= i + direction < mag.size:
-        nxt = i + direction
-        if mag[nxt] <= level:
-            span = mag[i] - mag[nxt]
-            frac = 0.0 if span == 0.0 else (mag[i] - level) / span
-            return float(f[i] + frac * (f[nxt] - f[i]))
-        i = nxt
-    return None
+    """Linear-interpolated f where mag first falls to level from the peak; None if never."""
+    side = mag[peak_idx + 1 :] if direction > 0 else mag[:peak_idx][::-1]
+    hits = np.flatnonzero(side <= level)
+    if hits.size == 0:
+        return None
+    nxt = peak_idx + direction * (1 + int(hits[0]))
+    i = nxt - direction
+    span = mag[i] - mag[nxt]
+    frac = 0.0 if span == 0.0 else (mag[i] - level) / span
+    return float(f[i] + frac * (f[nxt] - f[i]))
 
 
 def estimate_initial(trace: ComplexTrace) -> LorentzianParams:
@@ -564,23 +565,16 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
 
     peak = complex(result.params["peak_re"], result.params["peak_im"])
     peak_mag = abs(peak)
-    params = dict(result.params)
-    params["a_scale"] = 1.0
-    params["phi"] = cmath.phase(peak) if peak_mag > 0.0 else 0.0
-    params["q_c_mag"] = (
-        result.params["q_loaded"] / peak_mag if peak_mag > 0.0 else math.inf
+    params = dict(
+        result.params,
+        a_scale=1.0,
+        phi=cmath.phase(peak) if peak_mag > 0.0 else 0.0,
+        q_c_mag=result.params["q_loaded"] / peak_mag if peak_mag > 0.0 else math.inf,
     )
     message = result.message
     if conjugated:
         message += "; trace conjugated to the canonical winding before fitting"
-    return FitResult(
-        params=params,
-        covariance=result.covariance,
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        message=message,
-    )
+    return replace(result, params=params, message=message)
 
 
 def lorentzian_from_fit(result: FitResult) -> LorentzianParams:
@@ -698,27 +692,16 @@ def fit_power_sweep(
     )
 
     pd = math.exp(result.params["log_p_tan_delta"])
-    nc = math.exp(result.params["log_n_c"])
-    beta = result.params["beta"]
     q0 = math.exp(result.params["log_q0"])
-    params = dict(result.params)
-    params.update(
-        {
-            "p_tan_delta": pd,
-            "n_c": nc,
-            "beta": beta,
-            "q0": q0,
-            "q_single_photon_limit": 1.0 / (pd + 1.0 / q0),
-        }
+    params = dict(
+        result.params,
+        p_tan_delta=pd,
+        n_c=math.exp(result.params["log_n_c"]),
+        q0=q0,
+        q_single_photon_limit=1.0 / (pd + 1.0 / q0),
     )
-    return FitResult(
-        params=params,
-        covariance=result.covariance,
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        message=result.message + "; covariance in log coordinates except beta",
-    )
+    message = result.message + "; covariance in log coordinates except beta"
+    return replace(result, params=params, message=message)
 
 
 def tls_model_from_fit(result: FitResult) -> TlsModel:

@@ -9,7 +9,7 @@ use it without an import cycle.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Collection, Mapping
 
 from .errors import InputError
 
@@ -43,3 +43,10 @@ def read_versioned(path: str) -> dict[str, Any]:
             f"expected {FORMAT_VERSION}"
         )
     return raw
+
+
+def check_keys(raw: Mapping[str, Any], known: Collection[str], label: str) -> None:
+    """InputError ``{label} [unknown...]; known keys: [...]`` for keys of raw not in known."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise InputError(f"{label} {unknown}; known keys: {sorted(known)}")

@@ -11,16 +11,16 @@ product to extract an unknown loss tangent from a measured Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .jsonfile import read_versioned
+from .jsonfile import check_keys, read_versioned
 
-#: photon saturation level assumed when a component table does not give one
+#: photon saturation level assumed when a loss-component row does not give one
 N_C_DEFAULT = 1.0
 
 #: saturation exponent for non-interacting two-level systems
@@ -136,13 +136,25 @@ def qi_inverse(model: TlsModel, n):
     Each component's loss saturates as (1 + n/n_c)^-beta; the background
     1/q0 does not. n may be a scalar or an array of photon numbers.
     """
+    loss = qi_inverse_with_slope(model, n)[0]
+    return float(loss) if np.ndim(n) == 0 else loss
+
+
+def qi_inverse_with_slope(model: TlsModel, n) -> tuple[np.ndarray, np.ndarray]:
+    """qi_inverse as an array of n's shape, and its slope d(1/Q_i)/d(ln n).
+
+    A component's slope is -beta*n/(n + n_c) times its saturated loss.
+    """
     occupancy = np.asarray(n, dtype=float)
-    loss = np.full_like(occupancy, 1.0 / model.q0, dtype=float)
+    loss = np.full(occupancy.shape, 1.0 / model.q0)
+    slope = np.zeros(occupancy.shape)
     for comp in model.components:
-        loss = loss + comp.unsaturated_loss / (1.0 + occupancy / comp.n_c) ** comp.beta
-    if np.ndim(n) == 0:
-        return float(loss)
-    return loss
+        s = 1.0 + occupancy / comp.n_c
+        term = comp.unsaturated_loss / s ** comp.beta
+        loss = loss + term
+        # n/(n + n_c) as 1 - 1/s, which stays finite at n = inf
+        slope = slope - comp.beta * term * (1.0 - 1.0 / s)
+    return loss, slope
 
 
 def budget_total(
@@ -155,14 +167,11 @@ def budget_total(
     A total that is zero, infinite, or so small that its inverse overflows
     has no finite quality factor and is a BudgetError.
     """
-    per: list[tuple[str, float]] = []
-    for index, comp in enumerate(components):
-        if isinstance(comp, LossComponent):
-            per.append((comp.name, comp.unsaturated_loss))
-        else:
-            participation, tan_delta = comp
-            entry = LossComponent(f"component_{index}", participation, tan_delta)
-            per.append((entry.name, entry.unsaturated_loss))
+    entries = [
+        comp if isinstance(comp, LossComponent) else LossComponent(f"component_{j}", *comp)
+        for j, comp in enumerate(components)
+    ]
+    per = [(comp.name, comp.unsaturated_loss) for comp in entries]
     total = sum(loss for _, loss in per)
     if q0 is not None:
         if not q0 > 0.0:
@@ -223,7 +232,7 @@ def load_component_table(path: str | None = None) -> dict[str, tuple[LossCompone
     """Read a JSON table of per-sample loss components.
 
     With no path the table bundled with the package is used. The file maps
-    sample names to component lists; n_c and beta are optional per entry.
+    sample names to component lists, whose rows loss_components reads.
     """
     source = component_table_path() if path is None else path
     return component_table(read_versioned(source), source)
@@ -244,22 +253,28 @@ def component_table(
                 f"{source}: sample {sample_name!r} needs a non-empty "
                 "'components' list"
             )
-        built = []
-        for row in rows:
-            try:
-                built.append(
-                    LossComponent(
-                        name=str(row["name"]),
-                        participation=float(row["participation"]),
-                        tan_delta=float(row["tan_delta"]),
-                        n_c=float(row.get("n_c", N_C_DEFAULT)),
-                        beta=float(row.get("beta", BETA_DEFAULT)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(
-                    f"{source}: bad component row {row!r} in sample "
-                    f"{sample_name!r} ({exc})"
-                ) from exc
-        table[sample_name] = tuple(built)
+        table[sample_name] = loss_components(rows, f"{source}: sample {sample_name!r}")
     return table
+
+
+def loss_components(rows: Any, context: str) -> tuple[LossComponent, ...]:
+    """LossComponents from a JSON list of row objects.
+
+    participation and tan_delta are required; name defaults to component_{j}
+    for row j (budget_total's label for a bare pair), n_c and beta to their
+    defaults. Another key or a non-object row is an InputError naming both.
+    """
+    if not isinstance(rows, list):
+        raise InputError(f"{context}: components must be a list, got {rows!r}")
+    built = []
+    for j, row in enumerate(rows):
+        where = f"{context}: bad component row {j}"
+        if not isinstance(row, dict):
+            raise InputError(f"{where}: expected an object, got {row!r}")
+        check_keys(row, [f.name for f in fields(LossComponent)], f"{where}: unknown keys")
+        try:
+            numbers = {key: float(value) for key, value in row.items() if key != "name"}
+            built.append(LossComponent(str(row.get("name", f"component_{j}")), **numbers))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return tuple(built)

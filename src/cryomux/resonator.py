@@ -201,21 +201,21 @@ def q_relations(q_loaded: float, q_c_mag: float) -> float:
     return 1.0 / (1.0 / q_loaded - 1.0 / q_c_mag)
 
 
-def mean_photons_from_rates(
-    rates: PurcellRates, gamma_r: float, p_in: float, omega_drive
-):
+def mean_photons_from_rates(rates: PurcellRates, gamma_r, p_in, omega_drive):
     """Mean resonator occupation from the rate picture.
 
     p_in is the power arriving at the cavity input port in watts. The full
     detuning dependence is kept so off-resonant drive is handled too;
     on resonance this reduces to the familiar flux over half-width-squared
-    form. omega_drive may be scalar or array, rad/s.
+    form. gamma_r, p_in and omega_drive (rad/s) may each be a scalar or an
+    array: the result is a float when all three are scalars, and an array
+    of their broadcast shape otherwise.
     """
     half_width = 0.5 * (rates.kappa_pur + gamma_r)
     detuning = np.asarray(omega_drive, dtype=float) - rates.omega_r_dressed
     flux = p_in / (HBAR * rates.omega_r_dressed)
     out = rates.kappa_pur_i * flux / (detuning ** 2 + half_width ** 2)
-    if np.ndim(omega_drive) == 0:
+    if np.ndim(gamma_r) == np.ndim(p_in) == np.ndim(omega_drive) == 0:
         return float(out)
     return out
 

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.constants import k as BOLTZMANN
+from scipy.optimize import minimize_scalar
 
 from cryomux import chain as ch
 from cryomux.errors import BandEdgeWarning, InputError
 from cryomux.fitkit import FitResult, fit_power_sweep, fit_spectrum, photon_axis
-from cryomux.lossbudget import LossComponent, TlsModel, qi_inverse
+from cryomux.lossbudget import BETA_DEFAULT, N_C_DEFAULT, LossComponent, TlsModel, qi_inverse
 from cryomux.muxsim import MuxConfig, SwitchBranch
 from cryomux.resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
 
@@ -261,6 +264,128 @@ def test_solve_photon_number_saturates():
     gammas = [g for _, g in results]
     assert all(a < b for a, b in zip(ns, ns[1:]))
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+
+def roadmap_stage(tan_delta=1e-4, beta=0.5):
+    """The bundled sample with one saturable component and q0 = 1e9."""
+    return ch.SampleStage(
+        system=BUNDLED_SYSTEM,
+        tls=TlsModel((LossComponent("x", 1.0, tan_delta, 1.0, beta),), q0=1e9),
+    )
+
+
+def photon_map(stage, n, p):
+    """n_rate(gamma(n)): the photon number that the loss rate at n sustains."""
+    rates = purcell(stage.system)
+    omega = rates.omega_r_dressed
+    gamma = omega * qi_inverse(stage.tls, n)
+    return mean_photons_from_rates(rates, gamma, p, omega)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("tan_delta", [1e-4, 1e-3, 1e-2])
+def test_solve_photon_number_is_the_root_or_refuses_a_bistable_power(tan_delta, beta):
+    stage = roadmap_stage(tan_delta, beta)
+    powers = ch.watts_from_dbm(0.0) * 10.0 ** (np.linspace(-170.0, -60.0, 221) / 10.0)
+    # every root lies between the photon numbers at the largest and the
+    # smallest loss; count them by a dense sign scan of n_rate(gamma(n)) - n
+    rates = purcell(stage.system)
+    omega = rates.omega_r_dressed
+    lowest = mean_photons_from_rates(rates, omega * qi_inverse(stage.tls, 0.0), powers[0], omega)
+    highest = mean_photons_from_rates(rates, omega / stage.tls.q0, powers[-1], omega)
+    n = np.geomspace(0.5 * lowest, 2.0 * highest, 40001)
+    above = photon_map(stage, n[:, None], powers[None, :]) > n[:, None]
+    roots = np.count_nonzero(above[1:] != above[:-1], axis=0)
+    assert np.all(roots >= 1)
+    assert (beta == 1.0) or np.all(roots == 1)
+    single = roots == 1
+    solved, gamma = ch.solve_photon_number(stage, powers[single])
+    assert_allclose(photon_map(stage, solved, powers[single]), solved, rtol=1e-12, atol=0.0)
+    assert_allclose(gamma, omega * qi_inverse(stage.tls, solved), rtol=1e-15)
+    for p in powers[~single]:
+        with pytest.raises(InputError, match=f"{ch.dbm_from_watts(p):.6g} dBm"):
+            ch.solve_photon_number(stage, p)
+    if beta == 1.0 and tan_delta == 1e-4:
+        # the bistable window from about -136.75 to -112.5 dBm at the sample
+        bistable = np.linspace(-170.0, -60.0, 221)[~single]
+        assert bistable.min() == -136.5 and bistable.max() == -112.5
+
+
+def test_solve_photon_number_pins_roots_the_fixed_point_missed():
+    # a fixed-point iteration capped at 50 steps returned 240.8, 16060.6 and
+    # 321620.6 here
+    stage = roadmap_stage()
+    for p_dbm, root in ((-106.0, 17771.9), (-105.5, 179134.8), (-105.0, 533591.6)):
+        p = ch.watts_from_dbm(p_dbm)
+        n, _ = ch.solve_photon_number(stage, p)
+        assert_allclose(n, root, rtol=1e-6)
+        assert_allclose(photon_map(stage, n, p), n, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tan_delta, beta, dbm_range",
+    [(1e-3, 0.5, (-150.0, -70.0)), (1e-4, 1.0, (-110.0, -60.0))],
+    ids=["monotone", "above_the_fold"],
+)
+def test_solve_photon_number_array_equals_scalar_solves_bit_for_bit(tan_delta, beta, dbm_range):
+    stage = roadmap_stage(tan_delta, beta)
+    powers = ch.watts_from_dbm(0.0) * 10.0 ** (np.linspace(*dbm_range, 24) / 10.0)
+    n, gamma = ch.solve_photon_number(stage, powers)
+    for k, p in enumerate(powers):
+        n_k, gamma_k = ch.solve_photon_number(stage, float(p))
+        assert isinstance(n_k, float) and isinstance(gamma_k, float)
+        assert n_k == n[k] and gamma_k == gamma[k]
+    grid_n, grid_gamma = ch.solve_photon_number(stage, powers.reshape(4, 6))
+    assert grid_n.shape == grid_gamma.shape == (4, 6)
+    assert np.array_equal(grid_n.ravel(), n) and np.array_equal(grid_gamma.ravel(), gamma)
+
+
+def test_solve_photon_number_zero_power_is_zero_without_warning():
+    stage = roadmap_stage()
+    gamma0 = purcell(BUNDLED_SYSTEM).omega_r_dressed * qi_inverse(stage.tls, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ch.solve_photon_number(stage, 0.0) == (0.0, gamma0)
+        n, gamma = ch.solve_photon_number(stage, np.array([0.0, 1e-18]))
+    assert n[0] == 0.0 and gamma[0] == gamma0 and n[1] > 0.0
+    with pytest.raises(InputError, match="non-negative"):
+        ch.solve_photon_number(stage, np.array([1e-18, -1e-18]))
+
+
+def test_solve_photon_number_refuses_powers_just_inside_the_fold():
+    stage = roadmap_stage(beta=1.0)
+
+    def log_power(x):
+        # ln of the sample power (W) whose self-consistent photon number is e**x
+        n = np.exp(x)
+        return np.log(n / photon_map(stage, n, 1.0))
+
+    x = np.linspace(-10.0, 25.0, 35001)
+    falls = np.flatnonzero(np.diff(log_power(x)) < 0.0)
+    edges = []
+    for j, sign in ((falls[0], -1.0), (falls[-1] + 1, 1.0)):  # the top, then the bottom
+        turn = minimize_scalar(
+            lambda t: sign * log_power(t), bounds=(x[j - 1], x[j + 1]), method="bounded",
+            options={"xatol": 1e-13},
+        )
+        edges.append((sign * turn.fun, sign))
+    assert edges[1][0] < edges[0][0]
+    for level, sign in edges:
+        # the turns bound the powers with three roots; sign points inward
+        with pytest.raises(InputError, match="more than one"):
+            ch.solve_photon_number(stage, math.exp(level + sign * 1e-9))
+        p = math.exp(level - sign * 1e-9)
+        n, _ = ch.solve_photon_number(stage, p)
+        assert_allclose(photon_map(stage, n, p), n, rtol=1e-12)
+
+
+def test_solve_photon_number_names_the_bistable_power_in_an_array():
+    stage = roadmap_stage(beta=1.0)
+    powers = [ch.watts_from_dbm(p_dbm) for p_dbm in (-150.0, -125.0, -100.0)]
+    with pytest.raises(InputError, match="-125 dBm .* more than one"):
+        ch.solve_photon_number(stage, np.array(powers))
+    # outside the window the same model has one root
+    assert ch.solve_photon_number(stage, powers[0])[0] > 0.0
 
 
 # ---------------------------------------------------------------- series
@@ -540,6 +665,63 @@ def test_chain_json_diagnostics(tmp_path):
 
     with pytest.raises(InputError, match="cannot read"):
         ch.load_chain_spec(str(tmp_path / "missing.json"))
+
+
+def chain_with_tls(tmp_path, tls):
+    """The example chain file with ``tls`` set on its sample stage."""
+    with open(ch.example_chain_path(), encoding="utf-8") as handle:
+        raw = json.load(handle)
+    next(stage for stage in raw["stages"] if stage["type"] == "sample")["tls"] = tls
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_load_chain_spec_builds_the_tls_model_with_defaults(tmp_path):
+    rows = [
+        {"name": "surface", "participation": 0.5, "tan_delta": 2e-4, "n_c": 3.0, "beta": 0.4},
+        {"participation": 1e-3, "tan_delta": 1e-3},
+    ]
+    chain = ch.load_chain_spec(chain_with_tls(tmp_path, {"components": rows, "q0": 2e6}))
+    assert chain.sample.tls == TlsModel(
+        (
+            LossComponent("surface", 0.5, 2e-4, 3.0, 0.4),
+            LossComponent("component_1", 1e-3, 1e-3, N_C_DEFAULT, BETA_DEFAULT),
+        ),
+        q0=2e6,
+    )
+    chain = ch.load_chain_spec(chain_with_tls(tmp_path, {"components": rows[1:], "q0": None}))
+    assert chain.sample.tls.q0 == np.inf
+    assert ch.load_chain_spec(chain_with_tls(tmp_path, None)).sample.tls is None
+
+
+@pytest.mark.parametrize(
+    "tls, message",
+    [
+        (
+            {"components": [{"participation": 1.0, "tan_delta": 1e-4, "nc": 10.0}]},
+            r"bad component row 0: unknown keys \['nc'\]",
+        ),
+        ({"components": [1]}, "bad component row 0: expected an object, got 1"),
+        ({"components": [{"tan_delta": 1e-4}]}, "bad component row 0: .*'participation'"),
+        ({"components": [{"participation": 2.0, "tan_delta": 1e-4}]}, "bad component row 0: "),
+        ({"components": {"participation": 1.0}}, "tls: components must be a list"),
+        ({"components": [], "q0": 1e6, "Q0": 1e6}, r"unknown tls keys \['Q0'\]"),
+        ({"components": [], "q0": -1.0}, "tls: q0 must be positive"),
+        ([1], "tls must be an object or null"),
+    ],
+    ids=[
+        "row_key", "row_type", "row_missing", "row_value", "rows_type", "block_key", "q0", "block"
+    ],
+)
+def test_chain_tls_block_diagnostics_name_file_and_stage_once(tmp_path, tls, message):
+    path = chain_with_tls(tmp_path, tls)
+    with pytest.raises(InputError, match=message) as info:
+        ch.load_chain_spec(path)
+    text = str(info.value)
+    assert text.startswith(f"{path}: stage 4: ")
+    assert text.count(path) == 1 and text.count("stage 4") == 1
+    assert text.count("component row") <= 1
 
 
 def test_versioned_json_rejects_boolean_version_and_undecodable_file(tmp_path):

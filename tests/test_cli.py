@@ -439,6 +439,64 @@ def test_misspelt_mux_config_key_exits_2(tmp_path, capsys):
     assert "r_onn" in captured.err
 
 
+def tls_sample(tls):
+    """Chain edit that puts ``tls`` on the sample stage."""
+    return lambda raw: next(s for s in raw["stages"] if s["type"] == "sample").update(tls=tls)
+
+
+@pytest.mark.parametrize(
+    "tls, message",
+    [
+        ({"components": [{"participation": 1.0, "tan_delta": 1e-4, "nc": 10.0}]}, "'nc'"),
+        ({"components": [1]}, "bad component row 0: expected an object"),
+        ({"components": 1}, "components must be a list"),
+    ],
+    ids=["unknown_key", "non_object_row", "non_list_components"],
+)
+def test_simulate_bad_tls_block_exits_2(tmp_path, capsys, tls, message):
+    path = edited_chain(tmp_path, tls_sample(tls))
+    code, captured = run(capsys, ["simulate", str(path), ch.example_sweep_path()])
+    assert code == 2
+    assert message in captured.err
+    assert captured.err.count("stage 4") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_bistable_tls_power_exits_2_naming_it(tmp_path, capsys):
+    # one component with beta = 1 has three self-consistent photon numbers
+    # for sample powers from about -136.75 to -112.5 dBm
+    row = {"participation": 1.0, "tan_delta": 1e-4, "n_c": 1.0, "beta": 1.0}
+    path = edited_chain(tmp_path, tls_sample({"components": [row], "q0": 1e9}))
+    chain = ch.load_chain_spec(str(path))
+    nu = purcell(chain.sample.system).omega_r_dressed / TWO_PI
+    sweep = json.loads(Path(ch.example_sweep_path()).read_text(encoding="utf-8"))
+    sweep["instrument_power_dbm"] = -63.0
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(sweep))
+    p_sample = ch.power_at_sample(chain, -63.0, nu)
+    assert -136.75 < ch.dbm_from_watts(p_sample) < -112.5
+    code, captured = run(capsys, ["simulate", str(path), str(sweep_path)])
+    assert code == 2
+    assert f"{ch.dbm_from_watts(p_sample):.6g} dBm" in captured.err
+    assert "more than one self-consistent photon number" in captured.err
+    sweep["instrument_power_dbm"] = -30.0  # far above the fold: one root
+    sweep_path.write_text(json.dumps(sweep))
+    code, _ = run(capsys, ["simulate", str(path), str(sweep_path)])
+    assert code == 0
+
+
+def test_loss_budget_misspelt_row_key_exits_2(tmp_path, capsys):
+    table = {
+        "format_version": 1,
+        "samples": {"s": {"components": [{"participation": 0.9, "tan_delta": 1e-6, "nc": 3}]}},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, captured = run(capsys, ["loss-budget", str(path)])
+    assert code == 2
+    assert "sample 's': bad component row 0: unknown keys ['nc']" in captured.err
+
+
 def test_truncated_json_reports_line(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text('{"format_version": 1, "stages": [')

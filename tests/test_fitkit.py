@@ -410,6 +410,55 @@ def test_estimate_rejects_too_narrow_window():
         estimate_initial(trace)
 
 
+def walked_half_magnitude_crossing(f, mag, peak_idx, direction, level):
+    """The point-by-point walk that _half_magnitude_crossing replaced, as its oracle."""
+    i = peak_idx
+    while 0 <= i + direction < mag.size:
+        nxt = i + direction
+        if mag[nxt] <= level:
+            span = mag[i] - mag[nxt]
+            frac = 0.0 if span == 0.0 else (mag[i] - level) / span
+            return float(f[i] + frac * (f[nxt] - f[i]))
+        i = nxt
+    return None
+
+
+@pytest.mark.parametrize("n_points", [201, 801, 3201])
+@pytest.mark.parametrize("archetype", C03_ARCHETYPES, ids=lambda a: f"q_loaded_{a.q_loaded:g}")
+def test_half_magnitude_crossing_equals_the_walk(archetype, n_points):
+    for k in range(4):
+        trace = lorentzian_trace(
+            archetype, n_points, snr_db=30.0, rng=np.random.default_rng(700 + k)
+        )
+        f = trace.grid.points
+        mag = np.abs(trace.s21 - np.mean(trace.s21[:10]))
+        peak_idx = int(np.argmax(mag))
+        for level in (0.5 * mag[peak_idx], 0.9 * mag[peak_idx], 0.01 * mag[peak_idx]):
+            for direction in (-1, 1):
+                new = fitkit._half_magnitude_crossing(f, mag, peak_idx, direction, level)
+                assert new == walked_half_magnitude_crossing(f, mag, peak_idx, direction, level)
+
+
+def test_half_magnitude_crossing_edge_cases():
+    f = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    mag = np.array([0.2, 1.0, 1.0, 3.0, 1.0])
+    for peak_idx, direction, level in [
+        (1, 1, 1.0),  # the crossing sample equals its neighbour: a span of 0
+        (3, -1, 1.0),
+        (3, 1, 1.0),
+        (3, -1, 0.1),  # never falls to level: None
+        (3, 1, 0.5),
+        (0, -1, 0.5),  # nothing beyond the peak
+        (4, 1, 0.5),
+        (1, -1, 0.5),
+    ]:
+        new = fitkit._half_magnitude_crossing(f, mag, peak_idx, direction, level)
+        assert new == walked_half_magnitude_crossing(f, mag, peak_idx, direction, level)
+    assert fitkit._half_magnitude_crossing(f, mag, 1, 1, 1.0) == 2.0
+    assert fitkit._half_magnitude_crossing(f, mag, 3, -1, 1.0) == 3.0
+    assert fitkit._half_magnitude_crossing(f, mag, 3, -1, 0.1) is None
+
+
 # ---------------------------------------------------------------- spectrum fit
 
 def test_fit_noiseless_trace_exact():

@@ -17,7 +17,9 @@ from cryomux.lossbudget import (
     budget_total,
     extract_tan_delta,
     load_component_table,
+    loss_components,
     qi_inverse,
+    qi_inverse_with_slope,
     weighted_participation,
 )
 
@@ -245,6 +247,46 @@ def test_component_table_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(InputError, match="bad component row"):
         load_component_table(str(bad))
+
+
+def test_loss_component_rows_share_defaults_and_reject_unknown_keys():
+    rows = [
+        {"name": "oxide", "participation": 0.1, "tan_delta": 1e-3, "n_c": 5.0, "beta": 0.3},
+        {"participation": 0.9, "tan_delta": 2e-7},
+    ]
+    built = loss_components(rows, "here")
+    assert built == (
+        LossComponent("oxide", 0.1, 1e-3, 5.0, 0.3),
+        LossComponent("component_1", 0.9, 2e-7, lossbudget.N_C_DEFAULT, lossbudget.BETA_DEFAULT),
+    )
+    # the default name is the label budget_total gives a bare pair
+    assert budget_total(built).per_component[1][0] == budget_total(
+        [(0.1, 1e-3), (0.9, 2e-7)]
+    ).per_component[1][0]
+    with pytest.raises(InputError, match=r"here: bad component row 1: unknown keys \['nc'\]"):
+        loss_components([rows[0], dict(rows[1], nc=3.0)], "here")
+    with pytest.raises(InputError, match="here: bad component row 0: expected an object"):
+        loss_components([[0.9, 2e-7]], "here")
+    with pytest.raises(InputError, match="here: components must be a list"):
+        loss_components({"participation": 0.9}, "here")
+
+
+def test_qi_inverse_slope_matches_a_central_difference():
+    model = TlsModel(
+        (
+            LossComponent("a", 0.7, 3e-4, n_c=2.0, beta=0.5),
+            LossComponent("b", 0.2, 1e-3, n_c=300.0, beta=0.9),
+        ),
+        q0=1e7,
+    )
+    n = np.geomspace(1e-3, 1e7, 41)
+    h = 1e-5
+    numeric = (qi_inverse(model, n * math.exp(h)) - qi_inverse(model, n * math.exp(-h))) / (2 * h)
+    # the difference quotient carries about eps*qi_inverse/h = 1e-15 of rounding
+    loss, slope = qi_inverse_with_slope(model, n)
+    assert np.array_equal(loss, qi_inverse(model, n))
+    assert_allclose(slope, numeric, rtol=1e-8, atol=1e-14)
+    assert np.all(slope < 0.0)
 
 
 def test_component_table_rejects_non_object_top_level(tmp_path):

@@ -253,6 +253,27 @@ def test_photon_linearity_and_detuning():
     assert_allclose(detuned, on / 2.0, rtol=1e-12)
 
 
+def test_photon_rates_take_array_inputs():
+    rates = PurcellRates(1e3, 1e3, 2e3, TWO_PI * 4.8e9)
+    omega = rates.omega_r_dressed
+    gammas = np.array([100.0, 500.0, 2500.0])
+    powers = np.array([[1e-18], [3e-18]])
+    scalar = [
+        [resonator.mean_photons_from_rates(rates, g, p, omega) for g in gammas]
+        for p in powers[:, 0]
+    ]
+    assert all(isinstance(n, float) for row in scalar for n in row)
+    by_gamma = resonator.mean_photons_from_rates(rates, gammas, 1e-18, omega)
+    assert isinstance(by_gamma, np.ndarray) and by_gamma.shape == (3,)
+    assert_allclose(by_gamma, scalar[0], rtol=1e-15)
+    both = resonator.mean_photons_from_rates(rates, gammas, powers, omega)
+    assert both.shape == (2, 3)
+    assert_allclose(both, scalar, rtol=1e-15)
+    detunings = omega + np.array([-1e3, 0.0, 1e3])
+    by_drive = resonator.mean_photons_from_rates(rates, 500.0, 1e-18, detunings)
+    assert by_drive.shape == (3,) and by_drive[1] == scalar[0][1]
+
+
 def test_photon_flux_normalization():
     # one photon per lifetime in through a symmetric lossless pair of ports
     omega = TWO_PI * 5e9
