@@ -10,6 +10,7 @@ runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import warnings
@@ -29,7 +30,7 @@ from .fitkit import (
     fit_spectrum,
     photon_axis,
 )
-from .jsonfile import check_keys, read_versioned
+from .jsonfile import check_keys, read_text, read_versioned
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -45,6 +46,16 @@ FLOAT_FORMAT = "%.16e"
 CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"
 EXAMPLE_CHAIN_RESOURCE = "data/example_chain.json"
 EXAMPLE_SWEEP_RESOURCE = "data/example_sweep.json"
+
+#: the keys each stage type reads, besides "type" and "description"
+_STAGE_KEYS = {
+    "attenuator": ("loss_db",),
+    "mux": ("config", "selected_port", "input_port", "v_dd"),
+    "sample": ("f_cavity_hz", "f_resonator_hz", "g_hz", "kappa_i_hz", "kappa_o_hz")
+    + ("gamma_c_hz", "gamma_r_hz", "tls"),
+    "bandpass": ("f_low_hz", "f_high_hz", "rejection_db"),
+    "amplifier": ("gain_db", "noise_temperature_k"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +627,10 @@ def _build_stage(raw: Any, index: int, path: str) -> Stage:
     if not isinstance(raw, dict):
         raise InputError(f"{context}: expected an object")
     kind = raw.get("type")
+    if not isinstance(kind, str) or kind not in _STAGE_KEYS:
+        raise InputError(f"{context}: unknown stage type {kind!r}")
+    known = _STAGE_KEYS[kind] + ("type", "description")
+    check_keys(raw, known, f"{context}: unknown {kind} stage keys")
     try:
         if kind == "attenuator":
             return AttenuatorStage(loss_db=float(_require(raw, "loss_db", context)))
@@ -653,14 +668,14 @@ def _build_stage(raw: Any, index: int, path: str) -> Stage:
             )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{context} ({kind}): {exc}") from exc
-    if kind == "sample":
-        # outside the try: _build_tls names the stage in its own errors
-        return SampleStage(system=system, tls=_build_tls(raw.get("tls"), context))
-    raise InputError(f"{context}: unknown stage type {kind!r}")
+    # a sample stage, outside the try: _build_tls names the stage in its own errors
+    return SampleStage(system=system, tls=_build_tls(raw.get("tls"), context))
 
 
 def load_chain_spec(path: str) -> ChainSpec:
     raw = read_versioned(path)
+    known = ("format_version", "description", "rng_seed", "stages")
+    check_keys(raw, known, f"{path}: unknown chain keys")
     stages_raw = raw.get("stages")
     if not isinstance(stages_raw, list) or not stages_raw:
         raise InputError(f"{path}: expected a non-empty 'stages' list")
@@ -678,18 +693,18 @@ def load_chain_spec(path: str) -> ChainSpec:
 
 def load_sweep_spec(path: str) -> SweepSpec:
     raw = read_versioned(path)
-    context = path
+    known = ("format_version", "description", "f_start_hz", "f_stop_hz", "points_per_trace")
+    known += ("instrument_power_dbm", "averages", "rbw_hz")
+    check_keys(raw, known, f"{path}: unknown sweep keys")
     try:
         grid = FrequencyGrid.linspace(
-            float(_require(raw, "f_start_hz", context)),
-            float(_require(raw, "f_stop_hz", context)),
-            int(_require(raw, "points_per_trace", context)),
+            float(_require(raw, "f_start_hz", path)),
+            float(_require(raw, "f_stop_hz", path)),
+            int(_require(raw, "points_per_trace", path)),
         )
         return SweepSpec(
             grid=grid,
-            instrument_power_dbm=float(
-                _require(raw, "instrument_power_dbm", context)
-            ),
+            instrument_power_dbm=float(_require(raw, "instrument_power_dbm", path)),
             averages=int(raw.get("averages", 1)),
             rbw_hz=float(raw.get("rbw_hz", RBW_DEFAULT_HZ)),
         )
@@ -732,14 +747,11 @@ def write_trace(path: str, trace: ComplexTrace) -> None:
     _write_text(path, trace_csv_text(trace))
 
 
-def _parse_csv(
-    path: str, header: str, n_fields: int
+def _parse_csv_lines(
+    path: str, text: str, header: str, n_fields: int
 ) -> list[tuple[int, list[float]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
+    """(line number, row) per data line, by float(); the source of every CSV diagnostic."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         found = lines[0].strip() if lines else "<empty file>"
         raise InputError(
@@ -777,8 +789,29 @@ def _parse_csv(
     return parsed
 
 
+def _parse_csv(path: str, text: str, header: str, n_fields: int) -> np.ndarray:
+    """The (rows, n_fields) floats of a CSV text, as _parse_csv_lines reads them.
+
+    A non-empty body (loadtxt warns on an empty one) in ASCII with no line
+    break but LF and no 0x1f (which loadtxt strips as field whitespace, and
+    str.splitlines or float() do not) is parsed by one np.loadtxt call, kept
+    if each row is n_fields finite values. All else goes to _parse_csv_lines.
+    """
+    head, _, body = text.partition("\n")
+    if head.strip() == header and body.strip() and text.isascii() and not any(
+        c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+    ):
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == n_fields and np.isfinite(rows).all():
+            return rows
+    return np.array([row for _, row in _parse_csv_lines(path, text, header, n_fields)])
+
+
 def read_trace(path: str) -> ComplexTrace:
-    rows = np.array([row for _, row in _parse_csv(path, TRACE_HEADER, 3)])
+    rows = _parse_csv(path, read_text(path), TRACE_HEADER, 3)
     try:
         grid = FrequencyGrid(rows[:, 0])
     except InputError as exc:
@@ -795,10 +828,12 @@ def write_power_points(path: str, points: Sequence[PowerSweepPoint]) -> None:
 
 
 def read_power_points(path: str) -> tuple[PowerSweepPoint, ...]:
+    text = read_text(path)
     points = []
-    for lineno, row in _parse_csv(path, POINTS_HEADER, 3):
+    for index, row in enumerate(_parse_csv(path, text, POINTS_HEADER, 3).tolist()):
         try:
             points.append(PowerSweepPoint(*row))
         except InputError as exc:
+            lineno = _parse_csv_lines(path, text, POINTS_HEADER, 3)[index][0]
             raise InputError(f"{path}: line {lineno}: {exc}") from exc
     return tuple(points)

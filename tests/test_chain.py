@@ -625,6 +625,113 @@ def test_power_points_csv_round_trip(tmp_path):
         ch.read_power_points(str(path))
 
 
+H = ch.TRACE_HEADER + "\n"
+
+#: (id, file text): inputs on either side of what np.loadtxt and the
+#: per-line parser accept; ids ending in "_sep" hold a character that
+#: loadtxt strips as field whitespace and str.splitlines breaks a line at
+CSV_CORPUS = [
+    ("plain", H + "4e9,0.1,0.2\n4.1e9,0.3,0.4\n"),
+    ("crlf", (H + "4e9,0.1,0.2\n4.1e9,0.3,0.4\n").replace("\n", "\r\n")),
+    ("cr_only", (H + "4e9,0.1,0.2\n4.1e9,0.3,0.4\n").replace("\n", "\r")),
+    ("no_final_newline", H + "4e9,0.1,0.2\n4.1e9,0.3,0.4"),
+    ("blank_lines", H + "\n4e9,0.1,0.2\n\n4.1e9,0.3,0.4\n\n"),
+    ("surrounding_spaces", H + " 4e9 ,\t0.1 , 0.2\t\n"),
+    ("sign_and_bare_dots", H + "+4e9,.5,2.\n"),
+    ("long_digits", H + "4e9,0.1000000000000000055511151231257827021181583404541015625,-0\n"),
+    ("subnormal_and_underflow", H + "4e9,4.9e-324,1e-400\n"),
+    ("nan", H + "4e9,nan,0.2\n"),
+    ("inf", H + "4e9,0.1,-inf\n"),
+    ("overflow", H + "4e9,1e400,0.2\n"),
+    ("two_fields", H + "4e9,0.1\n"),
+    ("four_fields", H + "4e9,0.1,0.2,0.3\n"),
+    ("mixed_field_counts", H + "4e9,0.1,0.2\n4.1e9,0.3\n"),
+    ("empty_field", H + "4e9,,0.2\n"),
+    ("hash", H + "4e9,0.1,0.2 # note\n"),
+    ("comment_line", H + "# note\n4e9,0.1,0.2\n"),
+    ("quoted", H + '"4e9",0.1,0.2\n'),
+    ("hex", H + "0x10,0.1,0.2\n"),
+    ("underscore", H + "4_000,0.1,0.2\n"),
+    ("full_width_digits", H + "\uff14e9,0.1,0.2\n"),
+    ("whitespace_only_line", H + "4e9,0.1,0.2\n   \n4.1e9,0.3,0.4\n"),
+    ("header_only", H),
+    ("empty_file", ""),
+    ("wrong_header", "f,re,im\n4e9,0.1,0.2\n"),
+    ("header_spaces", " " + ch.TRACE_HEADER + " \n4e9,0.1,0.2\n"),
+    ("no_break_space", H + "4e9\xa0,0.1,0.2\n"),
+    ("form_feed_sep", H + "4e9\x0c,0.1,0.2\n"),
+    ("vertical_tab_sep", H + "4e9,0.1\x0b,0.2\n"),
+    ("file_separator_sep", H + "4e9,0.1,0.2\n4.1e9\x1c,0.3,0.4\n"),
+    ("group_separator_sep", H + "4e9,\x1d0.1,0.2\n"),
+    ("record_separator_sep", H + "4e9,0.1,0.2\x1e\n"),
+    ("unit_separator", H + "4e9\x1f,0.1,0.2\n"),
+    ("next_line_sep", H + "4e9\x85,0.1,0.2\n"),
+    ("line_separator_sep", H + "4e9\u2028,0.1,0.2\n"),
+    ("form_feed_before_header_sep", "\x0c" + H + "4e9,0.1,0.2\n"),
+]
+
+
+def _oracle(path, text):
+    """The per-line parser's rows as an array, or its InputError message."""
+    try:
+        rows = ch._parse_csv_lines(path, text, ch.TRACE_HEADER, 3)
+    except InputError as exc:
+        return str(exc)
+    return np.array([row for _, row in rows])
+
+
+# as errors: loadtxt warns on an empty body, as in header_only
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [t for _, t in CSV_CORPUS], ids=[i for i, _ in CSV_CORPUS])
+def test_csv_reader_matches_the_per_line_parser(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    text = ch.read_text(str(path))
+    expected = _oracle(str(path), text)
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as info:
+            ch._parse_csv(str(path), text, ch.TRACE_HEADER, 3)
+        assert str(info.value) == expected
+    else:
+        rows = ch._parse_csv(str(path), text, ch.TRACE_HEADER, 3)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_points", [1, 201, 3201])
+def test_trace_csv_round_trip_of_random_traces_is_bit_exact(tmp_path, monkeypatch, n_points):
+    rng = np.random.default_rng(n_points)
+    grid = ch.FrequencyGrid(np.sort(rng.uniform(4e9, 5e9, n_points)))
+    s21 = rng.standard_normal(n_points) * 10.0 ** rng.uniform(-300, 300, n_points)
+    trace = ch.ComplexTrace(grid, s21 + 1j * rng.standard_normal(n_points))
+    path = tmp_path / "trace.csv"
+    ch.write_trace(str(path), trace)
+
+    def per_line_parser_called(*args):
+        raise AssertionError("a clean trace fell back to the per-line parser")
+
+    # a file as write_trace leaves it takes the single loadtxt parse
+    monkeypatch.setattr(ch, "_parse_csv_lines", per_line_parser_called)
+    back = ch.read_trace(str(path))
+    assert back.grid.points.tobytes() == grid.points.tobytes()
+    assert back.s21.tobytes() == trace.s21.tobytes()
+
+
+def test_power_point_error_names_its_line_past_blank_lines(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("n_photons,q_loaded,q_uncertainty\n\n1.0,2.0,3.0\n\n1.0,-2.0,3.0\n")
+    with pytest.raises(InputError, match="points.csv: line 5: "):
+        ch.read_power_points(str(path))
+
+
+def test_non_utf8_csv_is_an_input_error_naming_the_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(H.encode() + b"4e9,0.1,0.2\xff\n")
+    with pytest.raises(InputError, match="cannot read .*trace.csv.*utf-8"):
+        ch.read_trace(str(path))
+    with pytest.raises(InputError, match="cannot read .*trace.csv.*utf-8"):
+        ch.read_power_points(str(path))
+
+
 # ---------------------------------------------------------------- configs
 
 

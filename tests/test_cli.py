@@ -77,6 +77,11 @@ def test_simulate_missing_chain_file_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def stage(raw, kind):
+    """The first stage of type ``kind`` in a raw chain object."""
+    return next(s for s in raw["stages"] if s["type"] == kind)
+
+
 def edited_chain(tmp_path, edit):
     raw = json.loads(Path(ch.example_chain_path()).read_text(encoding="utf-8"))
     edit(raw)
@@ -205,6 +210,20 @@ def test_fit_spectrum_nonfinite_field_names_the_line(tmp_path, capsys):
     code, captured = run(capsys, ["fit-spectrum", str(trace)])
     assert code == 2
     assert "line 6: field 's21_re' is not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [("fit-spectrum", ch.TRACE_HEADER), ("fit-power", ch.POINTS_HEADER)],
+    ids=["fit-spectrum", "fit-power"],
+)
+def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, command, header):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header.encode() + b"\n1.0,2.0,3.0\xff\n")
+    code, captured = run(capsys, [command, str(path)])
+    assert code == 2
+    assert "latin1.csv" in captured.err and "utf-8" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_fit_spectrum_overflowing_power_exits_2(tmp_path, capsys):
@@ -439,9 +458,52 @@ def test_misspelt_mux_config_key_exits_2(tmp_path, capsys):
     assert "r_onn" in captured.err
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (
+            lambda raw: stage(raw, "sample").update(gama_c_hz=5e4),
+            "stage 4: unknown sample stage keys ['gama_c_hz']",
+        ),
+        (
+            lambda raw: stage(raw, "attenuator").update(los_db=30.0),
+            "stage 0: unknown attenuator stage keys ['los_db']",
+        ),
+        (lambda raw: raw.update(rng_sed=3), "unknown chain keys ['rng_sed']"),
+        (
+            lambda raw: stage(raw, "mux").update(type=["mux"]),
+            "stage 3: unknown stage type ['mux']",
+        ),
+    ],
+    ids=["sample_stage", "attenuator_stage", "top_level", "unhashable_type"],
+)
+def test_misspelt_chain_key_exits_2_naming_file_stage_and_key(tmp_path, capsys, edit, where):
+    path = edited_chain(tmp_path, edit)
+    code, captured = run(capsys, ["simulate", str(path), ch.example_sweep_path()])
+    assert code == 2
+    assert f"{path}: {where}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_misspelt_sweep_key_exits_2(tmp_path, capsys):
+    sweep = json.loads(Path(ch.example_sweep_path()).read_text(encoding="utf-8"))
+    sweep["averges"] = 10
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    code, captured = run(capsys, ["simulate", ch.example_chain_path(), str(path)])
+    assert code == 2
+    assert f"{path}: unknown sweep keys ['averges']" in captured.err
+
+
+def test_stage_description_is_a_known_key(tmp_path):
+    path = edited_chain(tmp_path, lambda raw: stage(raw, "amplifier").update(description="HEMT"))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", str(path), ch.example_sweep_path(), "-o", str(out)]) == 0
+
+
 def tls_sample(tls):
     """Chain edit that puts ``tls`` on the sample stage."""
-    return lambda raw: next(s for s in raw["stages"] if s["type"] == "sample").update(tls=tls)
+    return lambda raw: stage(raw, "sample").update(tls=tls)
 
 
 @pytest.mark.parametrize(
