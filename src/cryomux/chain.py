@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -30,7 +29,8 @@ from .fitkit import (
     fit_spectrum,
     photon_axis,
 )
-from .jsonfile import check_keys, read_text, read_versioned
+from .jsonfile import CONFIG_DIR_ENV, resolve_config_path  # re-exported for callers
+from .jsonfile import FLOAT_FORMAT, check_keys, json_int, read_text, read_versioned
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -41,9 +41,6 @@ AMP_NOISE_TEMP_DEFAULT_K = 4.0
 
 TRACE_HEADER = "freq_hz,s21_re,s21_im"
 POINTS_HEADER = "n_photons,q_loaded,q_uncertainty"
-FLOAT_FORMAT = "%.16e"
-
-CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"
 EXAMPLE_CHAIN_RESOURCE = "data/example_chain.json"
 EXAMPLE_SWEEP_RESOURCE = "data/example_sweep.json"
 
@@ -569,18 +566,6 @@ def power_points_from_series(
 # JSON configuration files
 
 
-def resolve_config_path(path: str) -> str:
-    """Resolve a config file name against the config-directory env var."""
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
-    base = os.environ.get(CONFIG_DIR_ENV)
-    if base:
-        candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     if key not in mapping:
         raise InputError(f"{context}: missing field {key!r}")
@@ -604,9 +589,10 @@ def _build_tls(raw: Any, context: str) -> TlsModel | None:
 def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
     """MuxConfig from a flat override object.
 
-    Keys are MuxConfig's scalar fields plus SwitchBranch's fields; each
-    value is converted to its default's type and absent keys keep the
-    default. An unknown key is rejected rather than silently ignored.
+    Keys are MuxConfig's scalar fields plus SwitchBranch's fields; n_ports
+    takes json_int's integer rule, every other value is a float, and absent
+    keys keep the default. An unknown key is rejected rather than silently
+    ignored.
     """
     if not isinstance(overrides, dict):
         raise InputError(f"{context}: config must be an object")
@@ -614,7 +600,10 @@ def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
     known.update({f.name: f for f in fields(MuxConfig) if f.name != "branch"})
     check_keys(overrides, known, f"{context}: unknown mux config keys")
     values = {
-        name: type(known[name].default)(value) for name, value in overrides.items()
+        name: json_int(value, f"config {name}")
+        if isinstance(known[name].default, int)
+        else float(value)
+        for name, value in overrides.items()
     }
     branch = SwitchBranch(
         **{f.name: values.pop(f.name) for f in fields(SwitchBranch) if f.name in values}
@@ -638,8 +627,8 @@ def _build_stage(raw: Any, index: int, path: str) -> Stage:
             config = _build_mux_config(raw.get("config", {}), context)
             selected = raw.get("selected_port")
             return MuxStage(
-                selected_port=None if selected is None else int(selected),
-                input_port=int(raw.get("input_port", 0)),
+                selected_port=None if selected is None else json_int(selected, "selected_port"),
+                input_port=json_int(raw.get("input_port", 0), "input_port"),
                 v_dd=float(raw.get("v_dd", V_DD_NOMINAL)),
                 config=config,
             )
@@ -682,11 +671,8 @@ def load_chain_spec(path: str) -> ChainSpec:
     stages = tuple(
         _build_stage(entry, i, path) for i, entry in enumerate(stages_raw)
     )
-    seed = raw.get("rng_seed", 0)
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
     try:
-        return ChainSpec(stages=stages, rng_seed=seed)
+        return ChainSpec(stages=stages, rng_seed=json_int(raw.get("rng_seed", 0), "rng_seed"))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -700,12 +686,12 @@ def load_sweep_spec(path: str) -> SweepSpec:
         grid = FrequencyGrid.linspace(
             float(_require(raw, "f_start_hz", path)),
             float(_require(raw, "f_stop_hz", path)),
-            int(_require(raw, "points_per_trace", path)),
+            json_int(_require(raw, "points_per_trace", path), "points_per_trace"),
         )
         return SweepSpec(
             grid=grid,
             instrument_power_dbm=float(_require(raw, "instrument_power_dbm", path)),
-            averages=int(raw.get("averages", 1)),
+            averages=json_int(raw.get("averages", 1), "averages"),
             rbw_hz=float(raw.get("rbw_hz", RBW_DEFAULT_HZ)),
         )
     except (TypeError, ValueError) as exc:

@@ -3,7 +3,8 @@
 Subcommands cover sweep synthesis, spectrum and power-sweep fitting, the
 loss budget report, photon-number thermometry and multiplexer programming.
 Exit codes: 0 on success, 2 on malformed input, 3 when a fit does not
-converge (a partial report is still written).
+converge (a partial report is still written). Each subcommand imports
+only the modules it calls, so ``loss-budget`` and ``stark`` run without numpy.
 """
 
 from __future__ import annotations
@@ -16,36 +17,10 @@ import sys
 from dataclasses import asdict, replace
 from typing import Any
 
-import numpy as np
-
-from . import chain as chainmod
 from .errors import InputError, SingularFitError
-from .fitkit import (
-    SPECTRUM_PARAM_NAMES,
-    StarkContext,
-    fit_power_sweep,
-    fit_spectrum,
-    photon_axis,
-    stark_forward,
-    stark_invert,
-    tls_model_from_fit,
-)
-from .jsonfile import FORMAT_VERSION, read_versioned
+from .jsonfile import FLOAT_FORMAT, FORMAT_VERSION, read_versioned, resolve_config_path
 from .lossbudget import budget_total, component_table, component_table_path
-from .muxsim import (
-    T_CLK_DEFAULT,
-    V_DD_NOMINAL,
-    ControlState,
-    MuxConfig,
-    PowerTable,
-    dissipated_power,
-    latch,
-    mux_s_params,
-    parallel_write,
-    programming_time,
-    serial_clock,
-)
-from .rfnet import FrequencyGrid
+from .stark import StarkContext, stark_forward, stark_invert
 
 
 def _json_text(payload: Any) -> str:
@@ -81,17 +56,23 @@ def _fit_failed(exc: SingularFitError, output: str | None) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = chainmod.load_chain_spec(chainmod.resolve_config_path(args.chain))
-    sweep = chainmod.load_sweep_spec(chainmod.resolve_config_path(args.sweep))
+    from . import chain
+
+    spec = chain.load_chain_spec(resolve_config_path(args.chain))
+    sweep = chain.load_sweep_spec(resolve_config_path(args.sweep))
     if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed)
     plane = "raw" if args.raw else "calibrated"
-    trace = chainmod.synthesize_sweep(spec, sweep, plane=plane)
-    _emit(chainmod.trace_csv_text(trace), args.output)
+    trace = chain.synthesize_sweep(spec, sweep, plane=plane)
+    _emit(chain.trace_csv_text(trace), args.output)
     return 0
 
 
 def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
+    import numpy as np
+
+    from . import chain, fitkit
+
     report: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "converged": bool(result.converged),
@@ -103,21 +84,23 @@ def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
     if result.covariance is not None:
         diag = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
         report["uncertainties"] = {
-            name: float(s) for name, s in zip(SPECTRUM_PARAM_NAMES, diag)
+            name: float(s) for name, s in zip(fitkit.SPECTRUM_PARAM_NAMES, diag)
         }
     if result.converged and power_dbm is not None:
-        p_w = chainmod.watts_from_dbm(power_dbm)
+        p_w = chain.watts_from_dbm(power_dbm)
         report["power_dbm_at_sample"] = float(power_dbm)
         report["n_photons"] = float(
-            photon_axis(p_w, result, result.params["f_r"])
+            fitkit.photon_axis(p_w, result, result.params["f_r"])
         )
     return report, 0 if result.converged else 3
 
 
 def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
-    trace = chainmod.read_trace(args.trace)
+    from . import chain, fitkit
+
+    trace = chain.read_trace(args.trace)
     try:
-        result = fit_spectrum(trace)
+        result = fitkit.fit_spectrum(trace)
     except SingularFitError as exc:
         return _fit_failed(exc, args.output)
     report, code = _spectrum_report(result, args.power_dbm_at_sample)
@@ -126,12 +109,14 @@ def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_power(args: argparse.Namespace) -> int:
-    points = chainmod.read_power_points(args.points)
+    from . import chain, fitkit
+
+    points = chain.read_power_points(args.points)
     try:
-        result = fit_power_sweep(points, q_c_mag=args.q_c_mag)
+        result = fitkit.fit_power_sweep(points, q_c_mag=args.q_c_mag)
     except SingularFitError as exc:
         return _fit_failed(exc, args.output)
-    model = tls_model_from_fit(result)
+    model = fitkit.tls_model_from_fit(result)
     report = {
         "format_version": FORMAT_VERSION,
         "converged": bool(result.converged),
@@ -151,7 +136,7 @@ def _cmd_loss_budget(args: argparse.Namespace) -> int:
     if args.table is None:
         path = component_table_path()
     else:
-        path = chainmod.resolve_config_path(args.table)
+        path = resolve_config_path(args.table)
     raw = read_versioned(path)
     table = component_table(raw, path)
     notes = {
@@ -209,39 +194,44 @@ def _cmd_stark(args: argparse.Namespace) -> int:
 
 
 def _cmd_mux_program(args: argparse.Namespace) -> int:
-    config = MuxConfig()
+    import numpy as np
+
+    from . import muxsim
+    from .rfnet import FrequencyGrid
+
+    vdd = muxsim.V_DD_NOMINAL if args.vdd is None else args.vdd
+    tclk = muxsim.T_CLK_DEFAULT if args.tclk is None else args.tclk
+    config = muxsim.MuxConfig()
     if not 0 <= args.port < config.n_ports:
         raise InputError(
             f"port {args.port} is outside the valid range 0..{config.n_ports - 1}"
         )
     if args.mode == "parallel":
-        state = ControlState.initial(config.n_ports, "parallel")
-        state = parallel_write(
+        state = muxsim.ControlState.initial(config.n_ports, "parallel")
+        state = muxsim.parallel_write(
             state, d0=args.port & 1, d1=(args.port >> 1) & 1, le_pulse=True
         )
     else:
-        state = ControlState.initial(config.n_ports, "serial")
+        state = muxsim.ControlState.initial(config.n_ports, "serial")
         for i in range(config.n_ports):
-            state = serial_clock(state, 1 if i == args.port else 0)
-        state = latch(state)
+            state = muxsim.serial_clock(state, 1 if i == args.port else 0)
+        state = muxsim.latch(state)
     report = {
         "format_version": FORMAT_VERSION,
         "mode": args.mode,
         "selected_port": state.latched_selection,
-        "programming_time_s": programming_time(
-            config.n_ports, args.tclk, args.mode
-        ),
-        "dissipated_power_w": dissipated_power(PowerTable(), args.vdd),
-        "v_dd": float(args.vdd),
+        "programming_time_s": muxsim.programming_time(config.n_ports, tclk, args.mode),
+        "dissipated_power_w": muxsim.dissipated_power(muxsim.PowerTable(), vdd),
+        "v_dd": float(vdd),
     }
     if args.output is not None:
         grid = FrequencyGrid.linspace(args.f_start_hz, args.f_stop_hz, args.points)
-        branches = mux_s_params(config, state, args.vdd, grid)
+        branches = muxsim.mux_s_params(config, state, vdd, grid)
         s21 = np.stack([branch.s21 for branch in branches], axis=1).view(float)
         names = [f"port{p}_s21_{part}" for p in range(config.n_ports) for part in ("re", "im")]
         rows = [",".join(["freq_hz"] + names)]
         rows += [
-            ",".join(chainmod.FLOAT_FORMAT % v for v in (f, *row))
+            ",".join(FLOAT_FORMAT % v for v in (f, *row))
             for f, row in zip(grid.points, s21)
         ]
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -327,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mux-program", help="program the switch and export S-parameters")
     p.add_argument("--mode", choices=("parallel", "serial"), default="parallel")
     p.add_argument("--port", type=int, required=True, help="branch to select")
-    p.add_argument("--vdd", type=float, default=V_DD_NOMINAL, help="supply voltage, V")
-    p.add_argument("--tclk", type=float, default=T_CLK_DEFAULT, help="clock period, s")
+    # None: _cmd_mux_program fills in muxsim's defaults, so parsing needs no muxsim
+    p.add_argument("--vdd", type=float, default=None, help="supply voltage, V")
+    p.add_argument("--tclk", type=float, default=None, help="clock period, s")
     p.add_argument("--f-start-hz", type=float, default=4e9)
     p.add_argument("--f-stop-hz", type=float, default=8e9)
     p.add_argument("--points", type=int, default=401)

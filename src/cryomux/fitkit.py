@@ -1,9 +1,8 @@
 """Least-squares engine and the estimation procedures built on it.
 
-Three measurement reductions share one damped least-squares core: complex
-transmission spectra to resonance parameters, loaded-Q power sweeps to a
-saturable-loss model, and ac Stark shifts to a photon number and an
-effective temperature.
+Two measurement reductions share one damped least-squares core: complex
+transmission spectra to resonance parameters, and loaded-Q power sweeps to
+a saturable-loss model. Stark thermometry from ``stark`` is re-exported here.
 
 The minimizer is deliberately small: damped normal equations with
 Marquardt scaling, a caller-supplied analytic Jacobian or else a
@@ -25,10 +24,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .constants import BOLTZMANN, PLANCK
 from .errors import (
     InputError,
-    NonphysicalValueError,
     SingularFitError,
     UnderdeterminedError,
     WindowError,
@@ -41,6 +38,9 @@ from .resonator import (
     q_relations,
 )
 from .rfnet import FrequencyGrid
+
+# re-exported: the same objects, so patching fitkit.stark_forward reaches every binding
+from .stark import StarkContext, stark_forward, stark_invert
 
 # forward-difference step, relative to each parameter's magnitude
 FD_RELATIVE_STEP = 1e-7
@@ -138,31 +138,6 @@ class FitResult:
     converged: bool
     iterations: int
     message: str = ""
-
-
-@dataclass(frozen=True)
-class StarkContext:
-    """Dispersive-readout constants for Stark-shift thermometry.
-
-    chi is the signed dispersive shift per photon (Hz), nu_r the readout
-    resonator frequency. nu_q enables the alternate qubit-frequency
-    temperature convention; kappa is carried for reporting only.
-    """
-
-    chi: float
-    nu_r: float
-    nu_q: float | None = None
-    kappa: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.chi) and self.chi != 0.0):
-            raise InputError(f"chi must be finite and nonzero, got {self.chi!r}")
-        if not self.nu_r > 0.0:
-            raise InputError(f"nu_r must be positive, got {self.nu_r!r}")
-        if self.nu_q is not None and not self.nu_q > 0.0:
-            raise InputError(f"nu_q must be positive when given, got {self.nu_q!r}")
-        if self.kappa is not None and not self.kappa > 0.0:
-            raise InputError(f"kappa must be positive when given, got {self.kappa!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -720,74 +695,6 @@ def tls_model_from_fit(result: FitResult) -> TlsModel:
         raise InputError(
             f"fit result does not carry power-sweep parameters (missing {exc})"
         ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Stark thermometry
-
-
-def stark_forward(
-    ctx: StarkContext, temperature: float, truncation: int | str = "auto"
-):
-    """Thermal ac Stark shift of the qubit in Hz.
-
-    The shift is 2*chi times the mean resonator occupation. Auto mode uses
-    the Bose-Einstein closed form 1/expm1(h*nu_r/(k*T)); an integer
-    truncation instead sums the Boltzmann-weighted levels 0..truncation,
-    which the tests use as the oracle for the closed form.
-    """
-    if not 0.0 <= temperature < math.inf:
-        raise InputError(
-            f"temperature must be finite and non-negative, got {temperature!r}"
-        )
-    if temperature == 0.0:
-        return 0.0
-    ratio = PLANCK * ctx.nu_r / (BOLTZMANN * temperature)
-    if truncation == "auto":
-        # x/(1 - x) with x = exp(-ratio): equal to 1/expm1(ratio), but x
-        # underflows to 0 where expm1 would overflow
-        n_mean = math.exp(-ratio) / -math.expm1(-ratio)
-    else:
-        x = math.exp(-ratio)
-        levels = np.arange(int(truncation) + 1)
-        weights = x ** levels
-        n_mean = float((levels * weights).sum() / weights.sum())
-    return 2.0 * ctx.chi * n_mean
-
-
-def stark_invert(
-    ctx: StarkContext, delta_ac: float, convention: str = "resonator"
-) -> tuple[float, float]:
-    """Photon number and effective temperature from a measured Stark shift.
-
-    Inverts the closed form: the mean occupation is delta_ac/(2*chi), and
-    the temperature follows from the Boltzmann factor at the chosen
-    frequency. The resonator-frequency convention is the default; pass
-    convention="qubit" to use nu_q instead (the context must carry it).
-    """
-    if convention == "resonator":
-        nu = ctx.nu_r
-    elif convention == "qubit":
-        if ctx.nu_q is None:
-            raise InputError(
-                "qubit-frequency convention requested but the context has no nu_q"
-            )
-        nu = ctx.nu_q
-    else:
-        raise InputError(f"unknown temperature convention {convention!r}")
-    if not math.isfinite(delta_ac):
-        raise InputError(f"delta_ac must be finite, got {delta_ac!r}")
-    n_mean = delta_ac / (2.0 * ctx.chi)
-    if n_mean < 0.0:
-        raise NonphysicalValueError(
-            f"shift {delta_ac:g} Hz and chi {ctx.chi:g} Hz have opposite "
-            "signs; the implied occupation is negative"
-        )
-    if n_mean == 0.0:
-        return 0.0, 0.0
-    x = n_mean / (1.0 + n_mean)
-    temperature = PLANCK * nu / (BOLTZMANN * math.log(1.0 / x))
-    return n_mean, temperature
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,36 @@
 Chain, sweep and loss-component files are JSON objects that carry
 ``format_version`` at the top level. This module imports nothing from
 the package but its errors, so every module that loads such a file can
-use it without an import cycle; the CSV readers share its text reader.
+use it without an import cycle; the CSV readers share its text reader
+and float format. It imports no numpy, for the scalar subcommands.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Collection, Mapping
 
 from .errors import InputError
 
 FORMAT_VERSION = 1
+
+#: every float in a written CSV: 17 significant digits round-trip a double exactly
+FLOAT_FORMAT = "%.16e"
+
+CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"
+
+
+def resolve_config_path(path: str) -> str:
+    """Resolve a config file name against the config-directory env var."""
+    if os.path.isabs(path) or os.path.exists(path):
+        return path
+    base = os.environ.get(CONFIG_DIR_ENV)
+    if base:
+        candidate = os.path.join(base, path)
+        if os.path.exists(candidate):
+            return candidate
+    return path
 
 
 def read_text(path: str) -> str:
@@ -55,3 +74,13 @@ def check_keys(raw: Mapping[str, Any], known: Collection[str], label: str) -> No
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise InputError(f"{label} {unknown}; known keys: {sorted(known)}")
+
+
+def json_int(value: Any, label: str) -> int:
+    """A JSON integer field: an int, or a float without a fraction, as an int;
+    a bool, a fraction, a non-finite float or a string is an InputError naming label."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{label} must be an integer, got {value!r}")
+    return value

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .errors import BudgetError, InputError
 from .jsonfile import check_keys, read_versioned
 
@@ -77,7 +75,7 @@ class TlsModel:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.q0 > 0.0:
             raise InputError(f"q0 must be positive, got {self.q0!r}")
-        if not self.components and not np.isfinite(self.q0):
+        if not self.components and not math.isfinite(self.q0):
             raise InputError(
                 "a loss model needs at least one component or a finite q0"
             )
@@ -137,7 +135,7 @@ def qi_inverse(model: TlsModel, n):
     1/q0 does not. n may be a scalar or an array of photon numbers.
     """
     loss = qi_inverse_with_slope(model, n)[0]
-    return float(loss) if np.ndim(n) == 0 else loss
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def qi_inverse_with_slope(model: TlsModel, n) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +143,8 @@ def qi_inverse_with_slope(model: TlsModel, n) -> tuple[np.ndarray, np.ndarray]:
 
     A component's slope is -beta*n/(n + n_c) times its saturated loss.
     """
+    import numpy as np  # here, not at the top: the loss-budget report runs without numpy
+
     occupancy = np.asarray(n, dtype=float)
     loss = np.full(occupancy.shape, 1.0 / model.q0)
     slope = np.zeros(occupancy.shape)

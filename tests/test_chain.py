@@ -848,6 +848,60 @@ def test_sweep_json_diagnostics(tmp_path):
         ch.load_sweep_spec(str(path))
 
 
+def _top(raw):
+    return raw
+
+
+def _mux(raw):
+    return next(stage for stage in raw["stages"] if stage["type"] == "mux")
+
+
+def _mux_config(raw):
+    return _mux(raw).setdefault("config", {})
+
+
+#: (file, the object holding the field, its key) for every integer field a loader reads
+INTEGER_SITES = {
+    "sweep_points_per_trace": ("sweep", _top, "points_per_trace"),
+    "sweep_averages": ("sweep", _top, "averages"),
+    "mux_input_port": ("chain", _mux, "input_port"),
+    "mux_selected_port": ("chain", _mux, "selected_port"),
+    "mux_config_n_ports": ("chain", _mux_config, "n_ports"),
+    "chain_rng_seed": ("chain", _top, "rng_seed"),
+}
+
+
+def _load_edited(path, site, value):
+    """Write the bundled chain or sweep file with the site's field set to value, then load it."""
+    kind, holder, key = INTEGER_SITES[site]
+    source = ch.example_sweep_path() if kind == "sweep" else ch.example_chain_path()
+    with open(source, encoding="utf-8") as handle:
+        raw = json.load(handle)
+    holder(raw)[key] = value
+    path.write_text(json.dumps(raw))
+    loader = ch.load_sweep_spec if kind == "sweep" else ch.load_chain_spec
+    return loader(str(path))
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+@pytest.mark.parametrize("value", [0.9, 2.5, 801.9, True, "3", math.inf])
+def test_json_integer_fields_reject_fractions_bools_and_strings(tmp_path, site, value):
+    path = tmp_path / "edited.json"
+    with pytest.raises(InputError) as info:
+        _load_edited(path, site, value)
+    key = INTEGER_SITES[site][2]
+    assert str(info.value).startswith(f"{path}: ")
+    assert f"{key} must be an integer, got {value!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_json_integer_fields_accept_integral_floats(tmp_path, site):
+    value = {"sweep_points_per_trace": 801, "sweep_averages": 60000, "mux_config_n_ports": 4}
+    value = value.get(site, 0)
+    as_int = _load_edited(tmp_path / "int.json", site, value)
+    assert _load_edited(tmp_path / "float.json", site, float(value)) == as_int
+
+
 def test_stage_validation():
     with pytest.raises(InputError):
         ch.AttenuatorStage(-1.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -352,6 +353,48 @@ def test_stark_zero_chi_exits_2(capsys):
     )
     assert code == 2
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, quantity",
+    [
+        (["--chi", "1e6", "--nu-r", "5e9", "--temp", "1e308"], "mean occupation"),
+        (["--chi", "1e300", "--nu-r", "5e9", "--temp", "1e10"], "Stark shift"),
+        (["--chi", "1e6", "--nu-r", "1e-300", "--temp", "1e300"], "mean occupation"),
+        (["--chi", "1e-300", "--nu-r", "5e9", "--delta-ac", "1e10"], "mean occupation"),
+    ],
+    ids=["temp_1e308", "chi_1e300", "ratio_underflow", "occupation_overflow"],
+)
+def test_stark_overflow_exits_2_naming_the_quantity(capsys, flags, quantity):
+    code, captured = run(capsys, ["stark"] + flags)
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {quantity} overflows the float range" in captured.err
+
+
+def test_stark_occupation_near_overflow_has_a_finite_temperature(capsys):
+    # n/(1 + n) rounds to 1 here; ln(1 + 1/n) = 1/n to float precision
+    code, captured = run(
+        capsys, ["stark", "--chi", "1e6", "--nu-r", "5e9", "--delta-ac", "1e308"]
+    )
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["n_mean"] == 5e301
+    h_nu_over_k = 6.62607015e-34 * 5e9 / 1.380649e-23
+    assert_allclose(report["temperature_resonator_k"], h_nu_over_k * (5e301 + 0.5), rtol=1e-15)
+
+
+def test_stark_occupation_below_the_float_range_keeps_the_temperature(capsys):
+    # n = 5e-611 underflows to 0, but T = h*nu/(k*ln(1/n)) is about 0.17 mK
+    code, captured = run(
+        capsys, ["stark", "--chi", "1e300", "--nu-r", "5e9", "--delta-ac", "1e-310"]
+    )
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["n_mean"] == 0.0
+    log_inverse_n = math.log(2.0) + math.log(1e300) - math.log(1e-310)
+    expected = 6.62607015e-34 * 5e9 / (1.380649e-23 * log_inverse_n)
+    assert_allclose(report["temperature_resonator_k"], expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize(
