@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .fitkit import (
     photon_axis,
 )
 from .jsonfile import CONFIG_DIR_ENV, resolve_config_path  # re-exported for callers
-from .jsonfile import FLOAT_FORMAT, check_keys, json_int, read_text, read_versioned
+from .jsonfile import check_keys, csv_text, json_int, read_text, read_versioned, write_text
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -414,94 +414,78 @@ def synthesize_sweep(
         raise InputError(f"unknown reference plane {plane!r}")
     if rng is None:
         rng = np.random.default_rng(chain.rng_seed)
-    fixed, gammas = _fixed_responses(chain, sweep.grid, [sweep.instrument_power_dbm])
-    responses = _power_responses(chain, sweep.grid, fixed, gammas, 0)
-    return _combine_responses(chain, sweep, responses, rng, plane)
+    (trace,) = _traces(chain, sweep, [sweep.instrument_power_dbm], [rng], plane)
+    return trace
 
 
-def _fixed_responses(
-    chain: ChainSpec, grid: FrequencyGrid, powers_dbm: Sequence[float]
-) -> tuple[list[np.ndarray | None], dict[int, np.ndarray]]:
-    """Stage responses that do not depend on drive power.
+def _traces(
+    chain: ChainSpec,
+    sweep: SweepSpec,
+    powers_dbm: Sequence[float],
+    rngs: Iterable[np.random.Generator],
+    plane: str,
+) -> Iterator[ComplexTrace]:
+    """synthesize_sweep's trace at each instrument power, drawing power k's noise from rngs[k].
 
-    A sample with a TLS model depends on it: its slot is None, and the dict
-    maps its index to its gamma_r at every instrument power, solved in one
-    call (its drive is the input path's gain at its dressed resonance).
+    Every stage response but a TLS sample's is computed once, and so is the
+    through product, which holds no sample. Each TLS sample's gamma_r is
+    solved for every power in one call, its drive being the input path's
+    gain at its dressed resonance. Per power only that sample's response,
+    the chain product and the noise chain (a TLS sample may follow the
+    first amplifier) are rebuilt.
     """
-    fixed: list[np.ndarray | None] = []
+    grid, n = sweep.grid, len(sweep.grid)
+    responses: list[np.ndarray | None] = []
     gammas: dict[int, np.ndarray] = {}
+    h_thru = np.ones(n, dtype=complex)
     for i, stage in enumerate(chain.stages):
         if isinstance(stage, SampleStage) and stage.tls is not None:
             db = _input_path_db(chain, purcell(stage.system).omega_r_dressed / TWO_PI)
             p_w = np.array([watts_from_dbm(p_dbm + db) for p_dbm in powers_dbm])
             gammas[i] = solve_photon_number(stage, p_w)[1]
-            fixed.append(None)
+            responses.append(None)
         else:
-            fixed.append(_stage_response(stage, grid))
-    return fixed, gammas
-
-
-def _power_responses(
-    chain: ChainSpec,
-    grid: FrequencyGrid,
-    fixed: Sequence[np.ndarray | None],
-    gammas: dict[int, np.ndarray],
-    k: int,
-) -> list[np.ndarray]:
-    """All stage responses at power k: ``fixed`` with each TLS sample's gamma_r set."""
-    responses = list(fixed)
-    for i, gamma in gammas.items():
-        system = replace(chain.stages[i].system, gamma_r=float(gamma[k]))
-        responses[i] = _stage_response(SampleStage(system=system), grid)
-    return responses
-
-
-def _combine_responses(
-    chain: ChainSpec,
-    sweep: SweepSpec,
-    responses: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    plane: str,
-) -> ComplexTrace:
-    """Trace from per-stage responses: the chain product plus referred noise."""
-    n = len(sweep.grid)
-    p_instr_w = watts_from_dbm(sweep.instrument_power_dbm)
-
-    h_raw = np.ones(n, dtype=complex)
-    h_thru = np.ones(n, dtype=complex)
-    for stage, resp in zip(chain.stages, responses):
-        h_raw = h_raw * resp
-        if not isinstance(stage, SampleStage):
-            h_thru = h_thru * resp
-
+            responses.append(_stage_response(stage, grid))
+            if not isinstance(stage, SampleStage):
+                h_thru = h_thru * responses[-1]
     amp_index = next(
         (i for i, s in enumerate(chain.stages) if isinstance(s, AmplifierStage)),
         None,
     )
-    noise = np.zeros(n, dtype=complex)
-    sigma_trace = None
-    if amp_index is not None:
-        gain_power = np.ones(n)
-        t_eff = np.zeros(n)
-        h_noise = np.ones(n, dtype=complex)
-        for stage, resp in zip(chain.stages[amp_index:], responses[amp_index:]):
-            if isinstance(stage, AmplifierStage):
-                t_eff = t_eff + stage.noise_temperature_k / gain_power
-            gain_power = gain_power * np.abs(resp) ** 2
-            h_noise = h_noise * resp
-        scale = h_noise / math.sqrt(p_instr_w)
-        if plane == "calibrated":
-            scale = scale / h_thru
-        sigma_w = np.sqrt(BOLTZMANN * t_eff * sweep.rbw_hz / sweep.averages)
-        if np.any(sigma_w > 0.0):
-            draw = (
-                rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ) / math.sqrt(2.0)
-            noise = sigma_w * draw * scale
-            sigma_trace = sigma_w * np.abs(scale)
 
-    signal = h_raw if plane == "raw" else h_raw / h_thru
-    return ComplexTrace(sweep.grid, signal + noise, sigma=sigma_trace)
+    for k, (p_dbm, rng) in enumerate(zip(powers_dbm, rngs)):
+        p_instr_w = watts_from_dbm(p_dbm)
+        for i, gamma in gammas.items():
+            system = replace(chain.stages[i].system, gamma_r=float(gamma[k]))
+            responses[i] = _stage_response(SampleStage(system=system), grid)
+        h_raw = np.ones(n, dtype=complex)
+        for resp in responses:
+            h_raw = h_raw * resp
+
+        noise = np.zeros(n, dtype=complex)
+        sigma_trace = None
+        if amp_index is not None:
+            gain_power = np.ones(n)
+            t_eff = np.zeros(n)
+            h_noise = np.ones(n, dtype=complex)
+            for stage, resp in zip(chain.stages[amp_index:], responses[amp_index:]):
+                if isinstance(stage, AmplifierStage):
+                    t_eff = t_eff + stage.noise_temperature_k / gain_power
+                # a gain past double range is inf, and T / inf = 0 is the Friis limit
+                with np.errstate(over="ignore"):
+                    gain_power = gain_power * np.abs(resp) ** 2
+                h_noise = h_noise * resp
+            scale = h_noise / math.sqrt(p_instr_w)
+            if plane == "calibrated":
+                scale = scale / h_thru
+            sigma_w = np.sqrt(BOLTZMANN * t_eff * sweep.rbw_hz / sweep.averages)
+            if np.any(sigma_w > 0.0):
+                draw = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+                noise = sigma_w * draw * scale
+                sigma_trace = sigma_w * np.abs(scale)
+
+        signal = h_raw if plane == "raw" else h_raw / h_thru
+        yield ComplexTrace(grid, signal + noise, sigma=sigma_trace)
 
 
 def run_power_series(
@@ -513,25 +497,14 @@ def run_power_series(
     does not converge are kept with the failure flagged on the result and
     a NaN photon number; the series continues past them. Each power draws
     noise from its own child seed, so inserting or removing powers does
-    not perturb the others. Each trace equals synthesize_sweep's
-    calibrated trace at that power and seed: every stage response except
-    that of a sample with a TLS model is computed once for the series, such
-    a sample's photon number is solved for every power in one call, and
-    only its response is rebuilt at each power.
+    not perturb the others. Each trace is synthesize_sweep's calibrated
+    trace at that power and seed, from the one trace loop (_traces).
     """
     powers = [float(p_dbm) for p_dbm in power_list_dbm]
-    fixed, gammas = _fixed_responses(chain, sweep.grid, powers)
     seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(powers))
+    rngs = (np.random.default_rng(seed) for seed in seeds)
     fits: list[FitResult] = []
-    for k, (p_dbm, seed) in enumerate(zip(powers, seeds)):
-        responses = _power_responses(chain, sweep.grid, fixed, gammas, k)
-        trace = _combine_responses(
-            chain,
-            replace(sweep, instrument_power_dbm=p_dbm),
-            responses,
-            np.random.default_rng(seed),
-            "calibrated",
-        )
+    for trace in _traces(chain, sweep, powers, rngs, "calibrated"):
         try:
             fits.append(fit_spectrum(trace))
         except (WindowError, SingularFitError) as exc:
@@ -566,27 +539,27 @@ def power_points_from_series(
 # JSON configuration files
 
 
-def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
+def _require(mapping: Mapping[str, Any], key: str) -> Any:
     if key not in mapping:
-        raise InputError(f"{context}: missing field {key!r}")
+        raise InputError(f"missing field {key!r}")
     return mapping[key]
 
 
-def _build_tls(raw: Any, context: str) -> TlsModel | None:
+def _build_tls(raw: Any) -> TlsModel | None:
     if raw is None:
         return None
     if not isinstance(raw, dict):
-        raise InputError(f"{context}: tls must be an object or null")
-    check_keys(raw, ("components", "q0"), f"{context}: unknown tls keys")
-    components = loss_components(raw.get("components", []), f"{context}: tls")
+        raise InputError("tls must be an object or null")
+    check_keys(raw, ("components", "q0"), "unknown tls keys")
+    components = loss_components(raw.get("components", []), "tls")
     q0 = raw.get("q0")
     try:
         return TlsModel(components, q0=math.inf if q0 is None else float(q0))
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{context}: tls: {exc}") from exc
+        raise InputError(f"tls: {exc}") from exc
 
 
-def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
+def _build_mux_config(overrides: Any) -> MuxConfig:
     """MuxConfig from a flat override object.
 
     Keys are MuxConfig's scalar fields plus SwitchBranch's fields; n_ports
@@ -595,10 +568,10 @@ def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
     ignored.
     """
     if not isinstance(overrides, dict):
-        raise InputError(f"{context}: config must be an object")
+        raise InputError("config must be an object")
     known = {f.name: f for f in fields(SwitchBranch)}
     known.update({f.name: f for f in fields(MuxConfig) if f.name != "branch"})
-    check_keys(overrides, known, f"{context}: unknown mux config keys")
+    check_keys(overrides, known, "unknown mux config keys")
     values = {
         name: json_int(value, f"config {name}")
         if isinstance(known[name].default, int)
@@ -611,54 +584,45 @@ def _build_mux_config(overrides: Any, context: str) -> MuxConfig:
     return MuxConfig(branch=branch, **values)
 
 
-def _build_stage(raw: Any, index: int, path: str) -> Stage:
-    context = f"{path}: stage {index}"
+def _build_stage(raw: Any) -> Stage:
+    """One stage from its JSON object; load_chain_spec names the file and stage in errors."""
     if not isinstance(raw, dict):
-        raise InputError(f"{context}: expected an object")
+        raise InputError("expected an object")
     kind = raw.get("type")
     if not isinstance(kind, str) or kind not in _STAGE_KEYS:
-        raise InputError(f"{context}: unknown stage type {kind!r}")
-    known = _STAGE_KEYS[kind] + ("type", "description")
-    check_keys(raw, known, f"{context}: unknown {kind} stage keys")
-    try:
-        if kind == "attenuator":
-            return AttenuatorStage(loss_db=float(_require(raw, "loss_db", context)))
-        if kind == "mux":
-            config = _build_mux_config(raw.get("config", {}), context)
-            selected = raw.get("selected_port")
-            return MuxStage(
-                selected_port=None if selected is None else json_int(selected, "selected_port"),
-                input_port=json_int(raw.get("input_port", 0), "input_port"),
-                v_dd=float(raw.get("v_dd", V_DD_NOMINAL)),
-                config=config,
-            )
-        if kind == "sample":
-            system = CavityLerSystem(
-                omega_c=TWO_PI * float(_require(raw, "f_cavity_hz", context)),
-                omega_r=TWO_PI * float(_require(raw, "f_resonator_hz", context)),
-                g=TWO_PI * float(_require(raw, "g_hz", context)),
-                kappa_i=TWO_PI * float(_require(raw, "kappa_i_hz", context)),
-                kappa_o=TWO_PI * float(_require(raw, "kappa_o_hz", context)),
-                gamma_c=TWO_PI * float(raw.get("gamma_c_hz", 0.0)),
-                gamma_r=TWO_PI * float(_require(raw, "gamma_r_hz", context)),
-            )
-        if kind == "bandpass":
-            return BandpassStage(
-                f_low_hz=float(_require(raw, "f_low_hz", context)),
-                f_high_hz=float(_require(raw, "f_high_hz", context)),
-                rejection_db=float(_require(raw, "rejection_db", context)),
-            )
-        if kind == "amplifier":
-            return AmplifierStage(
-                gain_db=float(_require(raw, "gain_db", context)),
-                noise_temperature_k=float(
-                    raw.get("noise_temperature_k", AMP_NOISE_TEMP_DEFAULT_K)
-                ),
-            )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{context} ({kind}): {exc}") from exc
-    # a sample stage, outside the try: _build_tls names the stage in its own errors
-    return SampleStage(system=system, tls=_build_tls(raw.get("tls"), context))
+        raise InputError(f"unknown stage type {kind!r}")
+    check_keys(raw, _STAGE_KEYS[kind] + ("type", "description"), f"unknown {kind} stage keys")
+    if kind == "attenuator":
+        return AttenuatorStage(loss_db=float(_require(raw, "loss_db")))
+    if kind == "mux":
+        selected = raw.get("selected_port")
+        return MuxStage(
+            config=_build_mux_config(raw.get("config", {})),
+            selected_port=None if selected is None else json_int(selected, "selected_port"),
+            input_port=json_int(raw.get("input_port", 0), "input_port"),
+            v_dd=float(raw.get("v_dd", V_DD_NOMINAL)),
+        )
+    if kind == "sample":
+        system = CavityLerSystem(
+            omega_c=TWO_PI * float(_require(raw, "f_cavity_hz")),
+            omega_r=TWO_PI * float(_require(raw, "f_resonator_hz")),
+            g=TWO_PI * float(_require(raw, "g_hz")),
+            kappa_i=TWO_PI * float(_require(raw, "kappa_i_hz")),
+            kappa_o=TWO_PI * float(_require(raw, "kappa_o_hz")),
+            gamma_c=TWO_PI * float(raw.get("gamma_c_hz", 0.0)),
+            gamma_r=TWO_PI * float(_require(raw, "gamma_r_hz")),
+        )
+        return SampleStage(system=system, tls=_build_tls(raw.get("tls")))
+    if kind == "bandpass":
+        return BandpassStage(
+            f_low_hz=float(_require(raw, "f_low_hz")),
+            f_high_hz=float(_require(raw, "f_high_hz")),
+            rejection_db=float(_require(raw, "rejection_db")),
+        )
+    return AmplifierStage(
+        gain_db=float(_require(raw, "gain_db")),
+        noise_temperature_k=float(raw.get("noise_temperature_k", AMP_NOISE_TEMP_DEFAULT_K)),
+    )
 
 
 def load_chain_spec(path: str) -> ChainSpec:
@@ -668,9 +632,12 @@ def load_chain_spec(path: str) -> ChainSpec:
     stages_raw = raw.get("stages")
     if not isinstance(stages_raw, list) or not stages_raw:
         raise InputError(f"{path}: expected a non-empty 'stages' list")
-    stages = tuple(
-        _build_stage(entry, i, path) for i, entry in enumerate(stages_raw)
-    )
+    stages = []
+    for i, entry in enumerate(stages_raw):
+        try:
+            stages.append(_build_stage(entry))
+        except (TypeError, ValueError) as exc:  # an InputError is a ValueError
+            raise InputError(f"{path}: stage {i}: {exc}") from exc
     try:
         return ChainSpec(stages=stages, rng_seed=json_int(raw.get("rng_seed", 0), "rng_seed"))
     except InputError as exc:
@@ -684,13 +651,13 @@ def load_sweep_spec(path: str) -> SweepSpec:
     check_keys(raw, known, f"{path}: unknown sweep keys")
     try:
         grid = FrequencyGrid.linspace(
-            float(_require(raw, "f_start_hz", path)),
-            float(_require(raw, "f_stop_hz", path)),
-            json_int(_require(raw, "points_per_trace", path), "points_per_trace"),
+            float(_require(raw, "f_start_hz")),
+            float(_require(raw, "f_stop_hz")),
+            json_int(_require(raw, "points_per_trace"), "points_per_trace"),
         )
         return SweepSpec(
             grid=grid,
-            instrument_power_dbm=float(_require(raw, "instrument_power_dbm", path)),
+            instrument_power_dbm=float(_require(raw, "instrument_power_dbm")),
             averages=json_int(raw.get("averages", 1), "averages"),
             rbw_hz=float(raw.get("rbw_hz", RBW_DEFAULT_HZ)),
         )
@@ -710,27 +677,16 @@ def example_sweep_path() -> str:
 # CSV trace files
 
 
-def _csv_text(header: str, rows) -> str:
-    """CSV text: the header, then one line of three FLOAT_FORMAT fields per row."""
-    fmt = ",".join([FLOAT_FORMAT] * 3)
-    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
 def trace_csv_text(trace: ComplexTrace) -> str:
     """Render a trace as CSV with 17 significant digits per field."""
     # Python floats format faster than numpy scalars, to the same text
     s21 = trace.s21
     rows = zip(trace.grid.points.tolist(), s21.real.tolist(), s21.imag.tolist())
-    return _csv_text(TRACE_HEADER, rows)
+    return csv_text(TRACE_HEADER, rows)
 
 
 def write_trace(path: str, trace: ComplexTrace) -> None:
-    _write_text(path, trace_csv_text(trace))
+    write_text(path, trace_csv_text(trace))
 
 
 def _parse_csv_lines(
@@ -806,11 +762,11 @@ def read_trace(path: str) -> ComplexTrace:
 
 
 def power_points_csv_text(points: Sequence[PowerSweepPoint]) -> str:
-    return _csv_text(POINTS_HEADER, ((p.n_photons, p.q_loaded, p.q_uncertainty) for p in points))
+    return csv_text(POINTS_HEADER, ((p.n_photons, p.q_loaded, p.q_uncertainty) for p in points))
 
 
 def write_power_points(path: str, points: Sequence[PowerSweepPoint]) -> None:
-    _write_text(path, power_points_csv_text(points))
+    write_text(path, power_points_csv_text(points))
 
 
 def read_power_points(path: str) -> tuple[PowerSweepPoint, ...]:

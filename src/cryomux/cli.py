@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from typing import Any
 
 from .errors import InputError, SingularFitError
-from .jsonfile import FLOAT_FORMAT, FORMAT_VERSION, read_versioned, resolve_config_path
+from .jsonfile import FORMAT_VERSION, csv_text, read_versioned, resolve_config_path, write_text
 from .lossbudget import budget_total, component_table, component_table_path
 from .stark import StarkContext, stark_forward, stark_invert
 
@@ -40,8 +40,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        write_text(output, text)
 
 
 def _fit_failed(exc: SingularFitError, output: str | None) -> int:
@@ -194,8 +193,6 @@ def _cmd_stark(args: argparse.Namespace) -> int:
 
 
 def _cmd_mux_program(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import muxsim
     from .rfnet import FrequencyGrid
 
@@ -227,15 +224,11 @@ def _cmd_mux_program(args: argparse.Namespace) -> int:
     if args.output is not None:
         grid = FrequencyGrid.linspace(args.f_start_hz, args.f_stop_hz, args.points)
         branches = muxsim.mux_s_params(config, state, vdd, grid)
-        s21 = np.stack([branch.s21 for branch in branches], axis=1).view(float)
-        names = [f"port{p}_s21_{part}" for p in range(config.n_ports) for part in ("re", "im")]
-        rows = [",".join(["freq_hz"] + names)]
-        rows += [
-            ",".join(FLOAT_FORMAT % v for v in (f, *row))
-            for f, row in zip(grid.points, s21)
-        ]
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(rows) + "\n")
+        names, columns = ["freq_hz"], [grid.points.tolist()]
+        for p, branch in enumerate(branches):
+            names += [f"port{p}_s21_re", f"port{p}_s21_im"]
+            columns += [branch.s21.real.tolist(), branch.s21.imag.tolist()]
+        _emit(csv_text(",".join(names), zip(*columns)), args.output)
     sys.stdout.write(_json_text(report))
     return 0
 

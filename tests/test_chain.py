@@ -189,6 +189,28 @@ def test_noise_sigma_matches_friis_hand_value():
     assert_allclose(scatter, expected, rtol=0.15)
 
 
+@pytest.mark.parametrize("plane", ["raw", "calibrated"])
+@pytest.mark.parametrize("gains_db", [(3500.0, 40.0), (1600.0, 1600.0)], ids=["square", "product"])
+def test_friis_sum_past_double_range_takes_its_limit(gains_db, plane):
+    # both gains have a finite amplitude factor, but a power factor past
+    # double range: the first overflows in |G|**2, the pair in the product
+    # after the last amplifier. T / inf = 0 is the limit, with no warning
+    chain = ch.load_chain_spec(ch.example_chain_path())
+    sweep = ch.load_sweep_spec(ch.example_sweep_path())
+    first, second = (i for i, s in enumerate(chain.stages) if isinstance(s, ch.AmplifierStage))
+
+    def with_amplifiers(t_second):
+        stages = list(chain.stages)
+        stages[first] = ch.AmplifierStage(gains_db[0], stages[first].noise_temperature_k)
+        stages[second] = ch.AmplifierStage(gains_db[1], t_second)
+        return ch.synthesize_sweep(replace(chain, stages=tuple(stages)), sweep, plane=plane)
+
+    trace = with_amplifiers(chain.stages[second].noise_temperature_k)
+    assert np.all(np.isfinite(trace.sigma)) and np.all(trace.sigma > 0.0)
+    # the second amplifier's noise is referred through a gain of at least 1e160
+    assert trace.sigma.tobytes() == with_amplifiers(0.0).sigma.tobytes()
+
+
 def test_noise_shrinks_with_averaging():
     grid = bundled_grid()
     one = ch.synthesize_sweep(
@@ -498,6 +520,53 @@ def test_run_power_series_traces_match_per_power_synthesis(monkeypatch, tls):
     assert len(hoisted_calls) == len(chain.stages) + per_power
     assert hoisted_calls.count("SampleStage") == max(per_power, 1)
     assert hoisted_calls.count("MuxStage") == 1 + (tls is not None)
+
+
+def test_run_power_series_with_the_tls_sample_after_the_first_amplifier(monkeypatch):
+    # the noise chain then holds the one response that depends on power
+    chain = ch.ChainSpec(
+        stages=(
+            ch.AttenuatorStage(60.0),
+            ch.AmplifierStage(20.0, 4.0),
+            ch.SampleStage(system=SATURATING_SYSTEM, tls=SATURATING_TLS),
+            ch.AmplifierStage(40.0, 300.0),
+        ),
+        rng_seed=29,
+    )
+    rates = purcell(SATURATING_SYSTEM)
+    nu = rates.omega_r_dressed / TWO_PI
+    half = 5.0 * rates.kappa_pur / TWO_PI
+    sweep = ch.SweepSpec(
+        ch.FrequencyGrid.linspace(nu - half, nu + half, 301),
+        instrument_power_dbm=0.0,
+        averages=1000,
+    )
+    powers = [-110.0, -70.0, -30.0]
+    traces = []
+
+    def fake_fit(trace):
+        traces.append(trace)
+        return FitResult({}, None, float("nan"), False, 0)
+
+    monkeypatch.setattr(ch, "fit_spectrum", fake_fit)
+    ch.run_power_series(chain, sweep, powers)
+    monkeypatch.undo()
+
+    seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(powers))
+    for p_dbm, seed, trace in zip(powers, seeds, traces, strict=True):
+        expected = ch.synthesize_sweep(
+            chain,
+            replace(sweep, instrument_power_dbm=p_dbm),
+            rng=np.random.default_rng(seed),
+            plane="calibrated",
+        )
+        assert trace.s21.tobytes() == expected.s21.tobytes()
+        assert trace.sigma.tobytes() == expected.sigma.tobytes()
+    # sigma differs between the powers beyond its 1/sqrt(power) scale: the
+    # saturating sample's dip enters the Friis sum and the noise gain
+    scaled = [t.sigma * math.sqrt(ch.watts_from_dbm(p)) for p, t in zip(powers, traces)]
+    for low, high in zip(scaled, scaled[1:]):
+        assert not np.allclose(low, high, rtol=1e-3, atol=0.0)
 
 
 def mux_series_setup(tls):
@@ -900,6 +969,46 @@ def test_json_integer_fields_accept_integral_floats(tmp_path, site):
     value = value.get(site, 0)
     as_int = _load_edited(tmp_path / "int.json", site, value)
     assert _load_edited(tmp_path / "float.json", site, float(value)) == as_int
+
+
+def _sample(raw):
+    return next(stage for stage in raw["stages"] if stage["type"] == "sample")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: _mux(raw).update(config={"r_onn": 5.0}), "stage 3: unknown mux config keys"),
+        (lambda raw: _mux(raw).update(config="wide"), "stage 3: config must be an object"),
+        (lambda raw: _mux(raw).update(input_port=True), "stage 3: input_port must be an integer"),
+        (lambda raw: raw["stages"][0].pop("loss_db"), "stage 0: missing field 'loss_db'"),
+        (
+            lambda raw: _sample(raw).update(
+                tls={"components": [{"participation": 1.0, "tan_delta": "high"}]}
+            ),
+            "stage 4: tls: bad component row 0: ",
+        ),
+    ],
+    ids=["mux_config_key", "mux_config_type", "input_port_bool", "missing_loss_db", "tls_row"],
+)
+def test_chain_stage_diagnostics_name_the_file_once(tmp_path, edit, message):
+    raw = bundled_chain_raw()
+    edit(raw)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputError) as info:
+        ch.load_chain_spec(str(path))
+    text = str(info.value)
+    assert text.startswith(f"{path}: {message}")
+    assert text.count(str(path)) == 1
+
+
+def test_sweep_missing_field_names_the_file_once(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text('{"format_version": 1, "f_start_hz": 4.0e9}')
+    with pytest.raises(InputError) as info:
+        ch.load_sweep_spec(str(path))
+    assert str(info.value) == f"{path}: missing field 'f_stop_hz'"
 
 
 def test_stage_validation():
