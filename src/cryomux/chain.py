@@ -114,11 +114,8 @@ class MuxStage:
             raise InputError("v_dd must be non-negative")
 
     def control_state(self) -> ControlState:
-        state = ControlState.initial(n_ports=self.config.n_ports, mode="parallel")
-        if self.selected_port is None:
-            return state
         one_hot = tuple(int(i == self.selected_port) for i in range(self.config.n_ports))
-        return replace(state, latched_selection=self.selected_port, shift_register=one_hot)
+        return replace(ControlState.initial(self.config.n_ports), shift_register=one_hot)
 
 
 @dataclass(frozen=True)
@@ -171,8 +168,11 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
-        if not any(isinstance(s, SampleStage) for s in self.stages):
-            raise InputError("chain needs at least one sample stage")
+        at = [i for i, s in enumerate(self.stages) if isinstance(s, SampleStage)]
+        if len(at) != 1:
+            raise InputError(
+                f"chain needs exactly one sample stage, got {len(at)} at stages {at}"
+            )
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InputError(
@@ -181,7 +181,7 @@ class ChainSpec:
 
     @property
     def sample_index(self) -> int:
-        # __post_init__ guarantees a sample stage
+        # __post_init__ guarantees exactly one sample stage
         return next(i for i, s in enumerate(self.stages) if isinstance(s, SampleStage))
 
     @property
@@ -254,7 +254,7 @@ def _stage_response(stage: Stage, grid: FrequencyGrid) -> np.ndarray:
 def power_at_sample(
     chain: ChainSpec, instrument_power_dbm: float, frequency_hz: float | None = None
 ) -> float:
-    """Drive power reaching the first sample, in watts.
+    """Drive power reaching the sample, in watts.
 
     Sums the dB contributions of every stage ahead of the sample. A
     frequency is required as soon as the input path contains a
@@ -266,7 +266,7 @@ def power_at_sample(
 def _input_path_db(
     chain: ChainSpec, frequency_hz: float | Sequence[float] | np.ndarray | None
 ) -> float | np.ndarray:
-    """Summed dB gain of the stages ahead of the first sample.
+    """Summed dB gain of the stages ahead of the sample.
 
     frequency_hz is None (only for a frequency-independent input path), a
     scalar, or an array; the result is a float for a scalar or None, and
@@ -428,25 +428,27 @@ def _traces(
     """synthesize_sweep's trace at each instrument power, drawing power k's noise from rngs[k].
 
     Every stage response but a TLS sample's is computed once, and so is the
-    through product, which holds no sample. Each TLS sample's gamma_r is
+    through product, which holds no sample. A TLS sample's gamma_r is
     solved for every power in one call, its drive being the input path's
     gain at its dressed resonance. Per power only that sample's response,
     the chain product and the noise chain (a TLS sample may follow the
     first amplifier) are rebuilt.
     """
     grid, n = sweep.grid, len(sweep.grid)
+    index = chain.sample_index
+    sample = chain.stages[index]
     responses: list[np.ndarray | None] = []
-    gammas: dict[int, np.ndarray] = {}
+    gamma = None
     h_thru = np.ones(n, dtype=complex)
-    for i, stage in enumerate(chain.stages):
-        if isinstance(stage, SampleStage) and stage.tls is not None:
-            db = _input_path_db(chain, purcell(stage.system).omega_r_dressed / TWO_PI)
+    for stage in chain.stages:
+        if stage is sample and sample.tls is not None:
+            db = _input_path_db(chain, purcell(sample.system).omega_r_dressed / TWO_PI)
             p_w = np.array([watts_from_dbm(p_dbm + db) for p_dbm in powers_dbm])
-            gammas[i] = solve_photon_number(stage, p_w)[1]
+            gamma = solve_photon_number(sample, p_w)[1]
             responses.append(None)
         else:
             responses.append(_stage_response(stage, grid))
-            if not isinstance(stage, SampleStage):
+            if stage is not sample:
                 h_thru = h_thru * responses[-1]
     amp_index = next(
         (i for i, s in enumerate(chain.stages) if isinstance(s, AmplifierStage)),
@@ -455,9 +457,9 @@ def _traces(
 
     for k, (p_dbm, rng) in enumerate(zip(powers_dbm, rngs)):
         p_instr_w = watts_from_dbm(p_dbm)
-        for i, gamma in gammas.items():
-            system = replace(chain.stages[i].system, gamma_r=float(gamma[k]))
-            responses[i] = _stage_response(SampleStage(system=system), grid)
+        if gamma is not None:
+            system = replace(sample.system, gamma_r=float(gamma[k]))
+            responses[index] = _stage_response(SampleStage(system=system), grid)
         h_raw = np.ones(n, dtype=complex)
         for resp in responses:
             h_raw = h_raw * resp
@@ -468,11 +470,18 @@ def _traces(
             gain_power = np.ones(n)
             t_eff = np.zeros(n)
             h_noise = np.ones(n, dtype=complex)
-            for stage, resp in zip(chain.stages[amp_index:], responses[amp_index:]):
+            for i in range(amp_index, len(responses)):
+                stage, resp = chain.stages[i], responses[i]
                 if isinstance(stage, AmplifierStage):
+                    if not np.all(gain_power > 0.0):
+                        raise InputError(
+                            f"stage {i}: the power gain ahead of this amplifier is 0 or NaN "
+                            "in double precision, so its noise cannot be referred"
+                        )
                     t_eff = t_eff + stage.noise_temperature_k / gain_power
-                # a gain past double range is inf, and T / inf = 0 is the Friis limit
-                with np.errstate(over="ignore"):
+                # a gain past double range is inf, and T / inf = 0 is the Friis limit;
+                # inf times an underflowed 0 is NaN, rejected at the next amplifier
+                with np.errstate(over="ignore", invalid="ignore"):
                     gain_power = gain_power * np.abs(resp) ** 2
                 h_noise = h_noise * resp
             scale = h_noise / math.sqrt(p_instr_w)

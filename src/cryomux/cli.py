@@ -2,9 +2,10 @@
 
 Subcommands cover sweep synthesis, spectrum and power-sweep fitting, the
 loss budget report, photon-number thermometry and multiplexer programming.
-Exit codes: 0 on success, 2 on malformed input, 3 when a fit does not
-converge (a partial report is still written). Each subcommand imports
-only the modules it calls, so ``loss-budget`` and ``stark`` run without numpy.
+Exit codes: 0 on success, 2 on malformed input or one too large for memory,
+3 when a fit does not converge (a partial report is still written). Each
+subcommand imports only the modules it calls, so ``loss-budget`` and
+``stark`` run without numpy.
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, e.g. points_per_trace
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -49,6 +49,12 @@ LAMBDA_INIT = 1e-3
 LAMBDA_GROW = 10.0
 LAMBDA_MAX = 1e12
 
+# lm_minimize's stopping rule: converged when the relative step or the
+# relative cost decrease falls below its tolerance, else stopped at the cap
+LM_STEP_TOL = 1e-10
+LM_COST_TOL = 1e-12
+LM_MAX_ITER = 200
+
 # initializer heuristics
 EDGE_FRACTION = 0.05
 QC_SEED_FACTOR = 10.0
@@ -114,15 +120,6 @@ class PowerSweepPoint:
             )
 
 
-@dataclass(frozen=True)
-class LmTolerances:
-    """Convergence thresholds for the damped least-squares loop."""
-
-    step: float = 1e-10
-    cost: float = 1e-12
-    max_iter: int = 200
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a least-squares fit.
@@ -183,7 +180,6 @@ def lm_minimize(
     residuals: Callable[[np.ndarray], np.ndarray],
     init: Sequence[float],
     bounds=None,
-    tol: LmTolerances | None = None,
     names: Sequence[str] | None = None,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
@@ -195,13 +191,12 @@ def lm_minimize(
     it both use forward differences. The loop
     accepts a trial step when the cost does not increase, dividing the
     damping by ten on acceptance and multiplying by ten on rejection.
-    Convergence is declared when the relative step falls below tol.step or
-    the relative cost decrease falls below tol.cost. Singular normal
-    equations only raise once the damping passes its cap; non-finite
-    residuals encountered during the search end the fit with
-    converged=False rather than raising.
+    Convergence is declared when the relative step falls below LM_STEP_TOL
+    or the relative cost decrease falls below LM_COST_TOL, within
+    LM_MAX_ITER iterations. Singular normal equations only raise once the
+    damping passes its cap; non-finite residuals encountered during the
+    search end the fit with converged=False rather than raising.
     """
-    settings = tol if tol is not None else LmTolerances()
     x = np.array(init, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputError("init must be a non-empty 1-D parameter vector")
@@ -234,7 +229,7 @@ def lm_minimize(
             )
         return jmat
 
-    while iterations < settings.max_iter and not converged and not diverged:
+    while iterations < LM_MAX_ITER and not converged and not diverged:
         iterations += 1
         jmat = jacobian(x, r)
         if not np.isfinite(jmat).all():
@@ -279,7 +274,7 @@ def lm_minimize(
                 rel_drop = (cost - trial_cost) / max(cost, 1e-300)
                 x, r, cost = trial, r_trial, trial_cost
                 lam = max(lam / LAMBDA_GROW, 1e-12)
-                if rel_step < settings.step or rel_drop < settings.cost:
+                if rel_step < LM_STEP_TOL or rel_drop < LM_COST_TOL:
                     converged = True
                     message = "converged"
                 break

@@ -242,6 +242,8 @@ def component_table(
     raw: Mapping[str, Any], source: str
 ) -> dict[str, tuple[LossComponent, ...]]:
     """Components per sample from a parsed table file (see load_component_table)."""
+    known = ("format_version", "description", "samples")
+    check_keys(raw, known, f"{source}: unknown component table keys")
     samples = raw.get("samples")
     if not isinstance(samples, dict) or not samples:
         raise InputError(f"{source}: expected a non-empty 'samples' mapping")
@@ -253,7 +255,9 @@ def component_table(
                 f"{source}: sample {sample_name!r} needs a non-empty "
                 "'components' list"
             )
-        table[sample_name] = loss_components(rows, f"{source}: sample {sample_name!r}")
+        where = f"{source}: sample {sample_name!r}"
+        check_keys(entry, ("components", "note"), f"{where}: unknown keys")
+        table[sample_name] = loss_components(rows, where)
     return table
 
 

@@ -101,13 +101,11 @@ class ControlState:
     """Immutable control-interface state; every transition returns a new one.
 
     ``pending_register`` holds the serial shift flops, ``shift_register`` the
-    latched one-hot gate drive. The first bit shifted in lands on port 0
-    after a full n_ports-long program.
+    latched gate drive: one-hot (that port selected) or all zero (none). The
+    first bit shifted in lands on port 0 after a full n_ports-long program.
     """
 
-    n_ports: int = 4
     mode: str = "parallel"
-    latched_selection: int | None = None
     shift_register: tuple[int, ...] = (0, 0, 0, 0)
     pending_register: tuple[int, ...] = (0, 0, 0, 0)
     line_levels: LineLevels = LineLevels()
@@ -115,27 +113,27 @@ class ControlState:
     def __post_init__(self) -> None:
         if self.mode not in ("parallel", "serial"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if len(self.shift_register) != self.n_ports:
-            raise InputError("shift_register length must equal n_ports")
         if len(self.pending_register) != self.n_ports:
-            raise InputError("pending_register length must equal n_ports")
-        if self.latched_selection is not None and not (
-            0 <= self.latched_selection < self.n_ports
-        ):
-            raise SelectionError("latched selection out of range")
+            raise InputError("pending_register length must equal shift_register length")
+        if not set(self.shift_register) <= {0, 1} or sum(self.shift_register) > 1:
+            raise SelectionError(
+                f"shift register {self.shift_register} is not one-hot or all zero"
+            )
+
+    @property
+    def n_ports(self) -> int:
+        return len(self.shift_register)
+
+    @property
+    def latched_selection(self) -> int | None:
+        """The selected port, or None with every branch deselected."""
+        return self.shift_register.index(1) if 1 in self.shift_register else None
 
     @classmethod
     def initial(cls, n_ports: int = 4, mode: str = "parallel") -> "ControlState":
         zeros = (0,) * n_ports
         lines = LineLevels(ps=1 if mode == "serial" else 0)
-        return cls(
-            n_ports=n_ports,
-            mode=mode,
-            latched_selection=None,
-            shift_register=zeros,
-            pending_register=zeros,
-            line_levels=lines,
-        )
+        return cls(mode=mode, shift_register=zeros, pending_register=zeros, line_levels=lines)
 
 
 def set_lines(state: ControlState, **levels: int) -> ControlState:
@@ -168,13 +166,7 @@ def parallel_write(state: ControlState, d0: int, d1: int, le_pulse: bool) -> Con
             f"decoded port {index} out of range for {state.n_ports} ports"
         )
     one_hot = tuple(1 if i == index else 0 for i in range(state.n_ports))
-    return replace(
-        state,
-        mode=_mode_after_latch(lines),
-        latched_selection=index,
-        shift_register=one_hot,
-        line_levels=lines,
-    )
+    return replace(state, mode=_mode_after_latch(lines), shift_register=one_hot, line_levels=lines)
 
 
 def serial_clock(state: ControlState, si: int) -> ControlState:
@@ -191,17 +183,12 @@ def latch(state: ControlState) -> ControlState:
     """LE rising edge: commit the pending register to the gate drive.
 
     The pending register must be one-hot (select that port) or all zero
-    (deselect every branch); anything else is rejected unchanged.
+    (deselect every branch); ControlState rejects anything else.
     """
-    weight = sum(state.pending_register)
-    if weight > 1:
-        raise SelectionError("pending register is not one-hot or all-zero")
-    selection = state.pending_register.index(1) if weight == 1 else None
     lines = replace(state.line_levels, le=0)
     return replace(
         state,
         mode=_mode_after_latch(state.line_levels),
-        latched_selection=selection,
         shift_register=state.pending_register,
         line_levels=lines,
     )

@@ -81,20 +81,18 @@ class PurcellRates:
 
     kappa_pur_i: float
     kappa_pur_o: float
-    kappa_pur: float
     omega_r_dressed: float
 
     def __post_init__(self) -> None:
         if self.kappa_pur_i < 0.0 or self.kappa_pur_o < 0.0:
             raise InputError("Purcell rates cannot be negative")
-        total = self.kappa_pur_i + self.kappa_pur_o
-        if not math.isclose(self.kappa_pur, total, rel_tol=1e-12, abs_tol=0.0):
-            raise InputError(
-                f"kappa_pur {self.kappa_pur!r} must equal the sum of the "
-                f"port rates {total!r}"
-            )
         if not (math.isfinite(self.omega_r_dressed) and self.omega_r_dressed > 0.0):
             raise InputError("omega_r_dressed must be finite and positive")
+
+    @property
+    def kappa_pur(self) -> float:
+        """Total Purcell rate, the sum of the two port rates."""
+        return self.kappa_pur_i + self.kappa_pur_o
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,9 @@ def purcell(system: CavityLerSystem) -> PurcellRates:
             "has no meaning at zero detuning"
         )
     scale = (system.g / delta) ** 2
-    k_in = system.kappa_i * scale
-    k_out = system.kappa_o * scale
     return PurcellRates(
-        kappa_pur_i=k_in,
-        kappa_pur_o=k_out,
-        kappa_pur=k_in + k_out,
+        kappa_pur_i=system.kappa_i * scale,
+        kappa_pur_o=system.kappa_o * scale,
         omega_r_dressed=system.omega_r - system.g ** 2 / delta,
     )
 

@@ -211,6 +211,26 @@ def test_friis_sum_past_double_range_takes_its_limit(gains_db, plane):
     assert trace.sigma.tobytes() == with_amplifiers(0.0).sigma.tobytes()
 
 
+@pytest.mark.parametrize(
+    "first_gain_db, loss_db", [(40.0, 3400.0), (3500.0, 3500.0)], ids=["underflow", "inf_times_0"]
+)
+def test_friis_referral_rejects_a_gain_ahead_of_an_amplifier_that_is_0_or_nan(
+    first_gain_db, loss_db
+):
+    # a pad between the amplifiers whose power factor underflows to 0 leaves
+    # the second amplifier's noise T / 0; after an overflowed first gain the
+    # running gain is inf * 0 = NaN. Either is an InputError naming the
+    # amplifier, with no RuntimeWarning on the way
+    chain = ch.load_chain_spec(ch.example_chain_path())
+    sweep = ch.load_sweep_spec(ch.example_sweep_path())
+    first, second = (i for i, s in enumerate(chain.stages) if isinstance(s, ch.AmplifierStage))
+    stages = list(chain.stages)
+    stages[first] = ch.AmplifierStage(first_gain_db, stages[first].noise_temperature_k)
+    stages.insert(second, ch.AttenuatorStage(loss_db))
+    with pytest.raises(InputError, match=f"stage {second + 1}: the power gain ahead"):
+        ch.synthesize_sweep(replace(chain, stages=tuple(stages)), sweep)
+
+
 def test_noise_shrinks_with_averaging():
     grid = bundled_grid()
     one = ch.synthesize_sweep(
@@ -1001,6 +1021,23 @@ def test_chain_stage_diagnostics_name_the_file_once(tmp_path, edit, message):
     text = str(info.value)
     assert text.startswith(f"{path}: {message}")
     assert text.count(str(path)) == 1
+
+
+def test_chain_needs_exactly_one_sample_stage(tmp_path):
+    # a second sample behind the first would get the first's drive power
+    tls_sample = ch.SampleStage(system=BUNDLED_SYSTEM, tls=SATURATING_TLS)
+    stages = bare_chain().stages + (ch.AttenuatorStage(30.0), tls_sample)
+    with pytest.raises(InputError, match=r"exactly one sample stage, got 2 at stages \[3, 5\]"):
+        ch.ChainSpec(stages)
+    raw = bundled_chain_raw()
+    raw["stages"][5:5] = [{"type": "attenuator", "loss_db": 30.0}, dict(_sample(raw))]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputError) as info:
+        ch.load_chain_spec(str(path))
+    assert str(info.value) == (
+        f"{path}: chain needs exactly one sample stage, got 2 at stages [4, 6]"
+    )
 
 
 def test_sweep_missing_field_names_the_file_once(tmp_path):

@@ -528,6 +528,31 @@ def test_misspelt_chain_key_exits_2_naming_file_stage_and_key(tmp_path, capsys, 
     assert "Traceback" not in captured.err
 
 
+def test_simulate_two_sample_stages_exits_2(tmp_path, capsys):
+    def add_second_sample(raw):
+        raw["stages"][5:5] = [{"type": "attenuator", "loss_db": 30.0}, dict(stage(raw, "sample"))]
+
+    path = edited_chain(tmp_path, add_second_sample)
+    code, captured = run(capsys, ["simulate", str(path), ch.example_sweep_path()])
+    assert code == 2
+    assert "exactly one sample stage, got 2 at stages [4, 6]" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_oversized_sweep_exits_2(tmp_path, capsys):
+    # no machine can allocate 10**15 points, so the refusal is immediate
+    sweep = json.loads(Path(ch.example_sweep_path()).read_text(encoding="utf-8"))
+    sweep["points_per_trace"] = 10**15
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    code, captured = run(capsys, ["simulate", ch.example_chain_path(), str(path)])
+    assert code == 2
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_misspelt_sweep_key_exits_2(tmp_path, capsys):
     sweep = json.loads(Path(ch.example_sweep_path()).read_text(encoding="utf-8"))
     sweep["averges"] = 10
@@ -600,6 +625,30 @@ def test_loss_budget_misspelt_row_key_exits_2(tmp_path, capsys):
     code, captured = run(capsys, ["loss-budget", str(path)])
     assert code == 2
     assert "sample 's': bad component row 0: unknown keys ['nc']" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda table: table.update(descripton="x"), "unknown component table keys ['descripton']"),
+        (
+            lambda table: table["samples"]["s"].update(nte="x"),
+            "sample 's': unknown keys ['nte']",
+        ),
+    ],
+    ids=["top_level", "sample_entry"],
+)
+def test_loss_budget_misspelt_table_key_exits_2(tmp_path, capsys, edit, where):
+    row = {"participation": 0.9, "tan_delta": 1e-6}
+    table = {"format_version": 1, "description": "d", "samples": {"s": {"components": [row]}}}
+    table["samples"]["s"]["note"] = "n"
+    edit(table)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, captured = run(capsys, ["loss-budget", str(path)])
+    assert code == 2
+    assert f"{path}: {where}" in captured.err
+    assert captured.out == ""
 
 
 def test_truncated_json_reports_line(tmp_path, capsys):

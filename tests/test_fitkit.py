@@ -18,7 +18,6 @@ from cryomux.errors import (
 from cryomux.fitkit import (
     ComplexTrace,
     FitResult,
-    LmTolerances,
     PowerSweepPoint,
     StarkContext,
     estimate_initial,
@@ -142,11 +141,12 @@ def test_bounds_pin_the_solution():
     assert_allclose(result.params["x0"], 2.0, atol=1e-12)
 
 
-def test_iteration_limit_reports_unconverged():
+def test_iteration_limit_reports_unconverged(monkeypatch):
     def residuals(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-    result = lm_minimize(residuals, [-1.2, 1.0], tol=LmTolerances(max_iter=2))
+    monkeypatch.setattr(fitkit, "LM_MAX_ITER", 2)
+    result = lm_minimize(residuals, [-1.2, 1.0])
     assert not result.converged
     assert result.iterations == 2
     assert "limit" in result.message

@@ -71,6 +71,16 @@ def test_latch_rejects_multi_hot():
     assert s == before  # immutable, nothing moved
 
 
+def test_control_state_derives_its_latch_from_the_shift_register():
+    state = ControlState(shift_register=(0, 0, 1, 0))
+    assert state.n_ports == 4 and state.latched_selection == 2
+    for register in ((1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, -1)):
+        with pytest.raises(SelectionError, match="not one-hot or all zero"):
+            ControlState(shift_register=register)
+    with pytest.raises(InputError, match="pending_register length"):
+        ControlState(shift_register=(0, 0, 0), pending_register=(0, 0, 0, 0))
+
+
 def test_mode_preconditions():
     with pytest.raises(InputError):
         muxsim.serial_clock(ControlState.initial(mode="parallel"), 1)

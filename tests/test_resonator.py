@@ -69,17 +69,7 @@ def test_field_validation():
     with pytest.raises(InputError):
         make_system(gamma_c=-1.0)
     with pytest.raises(InputError):
-        PurcellRates(1.0, 1.0, 3.0, TWO_PI * 5e9)
-
-
-def test_purcell_rates_sum_check_is_relative_1e12():
-    total = TWO_PI * 125.0
-    PurcellRates(0.5 * total, 0.5 * total, total * (1.0 + 1e-13), TWO_PI * 5e9)
-    for mismatch in (1e-11, -1e-11):
-        with pytest.raises(InputError, match="sum of the port rates"):
-            PurcellRates(
-                0.5 * total, 0.5 * total, total * (1.0 + mismatch), TWO_PI * 5e9
-            )
+        PurcellRates(-1.0, 1.0, TWO_PI * 5e9)
 
 
 def test_purcell_power_laws():
@@ -219,7 +209,7 @@ def test_photon_routes_agree_for_symmetric_systems():
         gamma = 10.0 ** RNG.uniform(0.0, 4.0)
         omega = TWO_PI * 10.0 ** RNG.uniform(9.0, 10.0)
         p_in = 10.0 ** RNG.uniform(-21.0, -15.0)
-        rates = PurcellRates(k_half, k_half, 2.0 * k_half, omega)
+        rates = PurcellRates(k_half, k_half, omega)
         half = 0.5 * (rates.kappa_pur + gamma)
         peak = np.sqrt(rates.kappa_pur_i * rates.kappa_pur_o) / half
         from_rates = resonator.mean_photons_from_rates(rates, gamma, p_in, omega)
@@ -237,7 +227,7 @@ def test_photon_measurable_hand_oracle():
 
 
 def test_photon_linearity_and_detuning():
-    rates = PurcellRates(1e3, 1e3, 2e3, TWO_PI * 4.8e9)
+    rates = PurcellRates(1e3, 1e3, TWO_PI * 4.8e9)
     gamma = 500.0
     on = resonator.mean_photons_from_rates(rates, gamma, 1e-18, rates.omega_r_dressed)
     assert resonator.mean_photons_from_rates(rates, gamma, 0.0, rates.omega_r_dressed) == 0.0
@@ -254,7 +244,7 @@ def test_photon_linearity_and_detuning():
 
 
 def test_photon_rates_take_array_inputs():
-    rates = PurcellRates(1e3, 1e3, 2e3, TWO_PI * 4.8e9)
+    rates = PurcellRates(1e3, 1e3, TWO_PI * 4.8e9)
     omega = rates.omega_r_dressed
     gammas = np.array([100.0, 500.0, 2500.0])
     powers = np.array([[1e-18], [3e-18]])
@@ -278,7 +268,7 @@ def test_photon_flux_normalization():
     # one photon per lifetime in through a symmetric lossless pair of ports
     omega = TWO_PI * 5e9
     kappa = 1e4
-    rates = PurcellRates(kappa, kappa, 2.0 * kappa, omega)
+    rates = PurcellRates(kappa, kappa, omega)
     p_in = hbar * omega * kappa  # flux = kappa photons/s
     n = resonator.mean_photons_from_rates(rates, 0.0, p_in, omega)
     assert_allclose(n, 1.0, rtol=1e-12)
