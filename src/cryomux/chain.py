@@ -20,6 +20,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .constants import BOLTZMANN
+from .csvfile import csv_text
 from .errors import BandEdgeWarning, InputError, SingularFitError, WindowError
 from .fitkit import (
     SPECTRUM_PARAM_NAMES,
@@ -30,7 +31,7 @@ from .fitkit import (
     photon_axis,
 )
 from .jsonfile import CONFIG_DIR_ENV, resolve_config_path  # re-exported for callers
-from .jsonfile import check_keys, csv_text, json_int, read_text, read_versioned, write_text
+from .jsonfile import check_keys, json_int, read_text, read_versioned, write_text
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -688,10 +689,7 @@ def example_sweep_path() -> str:
 
 def trace_csv_text(trace: ComplexTrace) -> str:
     """Render a trace as CSV with 17 significant digits per field."""
-    # Python floats format faster than numpy scalars, to the same text
-    s21 = trace.s21
-    rows = zip(trace.grid.points.tolist(), s21.real.tolist(), s21.imag.tolist())
-    return csv_text(TRACE_HEADER, rows)
+    return csv_text(TRACE_HEADER, [trace.grid.points, trace.s21.real, trace.s21.imag])
 
 
 def write_trace(path: str, trace: ComplexTrace) -> None:
@@ -770,12 +768,9 @@ def read_trace(path: str) -> ComplexTrace:
     return ComplexTrace(grid, rows[:, 1] + 1j * rows[:, 2])
 
 
-def power_points_csv_text(points: Sequence[PowerSweepPoint]) -> str:
-    return csv_text(POINTS_HEADER, ((p.n_photons, p.q_loaded, p.q_uncertainty) for p in points))
-
-
 def write_power_points(path: str, points: Sequence[PowerSweepPoint]) -> None:
-    write_text(path, power_points_csv_text(points))
+    rows = [(p.n_photons, p.q_loaded, p.q_uncertainty) for p in points]
+    write_text(path, csv_text(POINTS_HEADER, np.array(rows, dtype=np.float64).reshape(-1, 3).T))
 
 
 def read_power_points(path: str) -> tuple[PowerSweepPoint, ...]:

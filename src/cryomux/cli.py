@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 from typing import Any
 
 from .errors import InputError, SingularFitError
-from .jsonfile import FORMAT_VERSION, csv_text, read_versioned, resolve_config_path, write_text
+from .jsonfile import FORMAT_VERSION, read_versioned, resolve_config_path, write_text
 from .lossbudget import budget_total, component_table, component_table_path
 from .stark import StarkContext, stark_forward, stark_invert
 
@@ -223,13 +223,15 @@ def _cmd_mux_program(args: argparse.Namespace) -> int:
         "v_dd": float(vdd),
     }
     if args.output is not None:
+        from .csvfile import csv_text
+
         grid = FrequencyGrid.linspace(args.f_start_hz, args.f_stop_hz, args.points)
         branches = muxsim.mux_s_params(config, state, vdd, grid)
-        names, columns = ["freq_hz"], [grid.points.tolist()]
+        names, columns = ["freq_hz"], [grid.points]
         for p, branch in enumerate(branches):
             names += [f"port{p}_s21_re", f"port{p}_s21_im"]
-            columns += [branch.s21.real.tolist(), branch.s21.imag.tolist()]
-        _emit(csv_text(",".join(names), zip(*columns)), args.output)
+            columns += [branch.s21.real, branch.s21.imag]
+        _emit(csv_text(",".join(names), columns), args.output)
     sys.stdout.write(_json_text(report))
     return 0
 

@@ -1,0 +1,65 @@
+"""The one CSV writer: ``FLOAT_FORMAT % x`` per field of a trace, points or S-parameter file.
+
+Fields are made many at once by exact integer arithmetic, after Steele & White (PLDI 1990)
+and Ryu (Adams, PLDI 2018): with |x| = m 2**q and E = floor(log10 |x|), the 17 digits are
+m 5**k 2**(q + k), k = 16 - E, rounded half to even; m 5**k is an exact two-limb product for
+k <= 27. Zero, subnormals, non-finite values, E outside [-11, 16] and digits outside
+[10**16, 10**17) (log10 off by one) go through ``%`` itself: the bytes are always ``%``'s.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .jsonfile import FLOAT_FORMAT
+
+_U = np.uint64  # every integer operand is uint64: numpy 1.x makes uint64 op int64 a float
+_LOW32, _POW5 = _U(0xFFFFFFFF), _U(5) ** np.arange(28, dtype=_U)  # 5**27 < 2**64
+#: the 4 ASCII digits of 0..9999, one row each
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48))
+_FIELD = 24  # the longest field, "-1.0000000000000000e+308"
+_CHUNK = 2048  # values per kernel call, in row order: its temporaries stay under 1 MB
+
+
+def _format_fields(x: np.ndarray, out: np.ndarray) -> None:
+    """Write FLOAT_FORMAT % v for each v of x, NUL-padded, into the (len(x), _FIELD) uint8 out."""
+    ax = np.abs(x)
+    e10 = np.floor(np.log10(np.where(ax > 0.0, ax, np.nan)))  # nan for 0 or nan, inf for inf
+    ok = (e10 >= -11.0) & (e10 <= 16.0)
+    e10 = np.where(ok, e10, 0.0).astype(np.int64)
+    frac, e2 = np.frexp(np.where(ok, ax, 1.0))
+    m, p = (frac * 2.0**53).astype(_U), _POW5.take(16 - e10)  # |x| = m 2**(e2 - 53), p = 5**k
+    m_lo, m_hi, p_lo, p_hi = m & _LOW32, m >> _U(32), p & _LOW32, p >> _U(32)
+    ll, lh, hl = m_lo * p_lo, m_lo * p_hi, m_hi * p_lo
+    mid = (ll >> _U(32)) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (mid << _U(32)) | (ll & _LOW32)
+    hi = m_hi * p_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
+    shift = 37 - e2 + e10  # digits = (hi, lo) / 2**shift, and -4 <= shift <= 62 for E in [-11, 16]
+    right, r, left = shift > 0, np.maximum(shift, 1).astype(_U), np.maximum(-shift, 0).astype(_U)
+    trunc = np.where(right, (hi << (_U(64) - r)) | (lo >> r), lo << left)
+    rem, half = lo & ((_U(1) << r) - _U(1)), _U(1) << (r - _U(1))
+    digits = trunc + (right & ((rem > half) | ((rem == half) & ((trunc & _U(1)) == _U(1)))))
+    ok &= (trunc >= _U(10**16)) & (digits < _U(10**17))
+
+    quads = np.stack([digits // _U(10**e) for e in (16, 12, 8, 4, 0)], axis=1)
+    quads[:, 1:] -= quads[:, :-1] * _U(10**4)  # the lead digit, then four 4-digit groups
+    out[:, 0], out[:, 1], out[:, 2] = np.signbit(x) * ord("-"), quads[:, 0] + _U(48), ord(".")
+    out[:, 3:19] = _DIGITS.take(quads[:, 1:], axis=0).reshape(-1, 16)
+    out[:, 19], out[:, 20] = ord("e"), np.where(e10 < 0, ord("-"), ord("+"))
+    out[:, 21:23] = _DIGITS.take(np.abs(e10), axis=0)[:, 2:]
+    for i in np.flatnonzero(~ok).tolist():
+        field = (FLOAT_FORMAT % float(x[i])).encode("ascii").ljust(_FIELD, b"\0")
+        out[i] = np.frombuffer(field, np.uint8)
+
+
+def csv_text(header: str, columns: Sequence[np.ndarray]) -> str:
+    """The header, then one line per row, a FLOAT_FORMAT field per column."""
+    values = np.column_stack(columns).astype(np.float64, copy=False).ravel()
+    buf = np.zeros((values.size, _FIELD + 1), np.uint8)
+    for start in range(0, values.size, _CHUNK):
+        _format_fields(values[start : start + _CHUNK], buf[start : start + _CHUNK, :_FIELD])
+    buf[:, _FIELD] = ord(",")
+    buf[len(columns) - 1 :: len(columns), _FIELD] = ord("\n")
+    return header + "\n" + buf.tobytes().replace(b"\0", b"").decode("ascii")

@@ -110,13 +110,14 @@ class PowerSweepPoint:
     q_uncertainty: float
 
     def __post_init__(self) -> None:
-        if not self.n_photons >= 0.0:
-            raise InputError(f"n_photons must be non-negative, got {self.n_photons!r}")
-        if not self.q_loaded > 0.0:
-            raise InputError(f"q_loaded must be positive, got {self.q_loaded!r}")
-        if not self.q_uncertainty > 0.0:
+        # finite, as read_power_points requires of every field
+        if not 0.0 <= self.n_photons < math.inf:
+            raise InputError(f"n_photons must be finite and non-negative, got {self.n_photons!r}")
+        if not 0.0 < self.q_loaded < math.inf:
+            raise InputError(f"q_loaded must be finite and positive, got {self.q_loaded!r}")
+        if not 0.0 < self.q_uncertainty < math.inf:
             raise InputError(
-                f"q_uncertainty must be positive, got {self.q_uncertainty!r}"
+                f"q_uncertainty must be finite and positive, got {self.q_uncertainty!r}"
             )
 
 

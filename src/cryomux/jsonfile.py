@@ -4,14 +4,14 @@ Chain, sweep and loss-component files are JSON objects that carry
 ``format_version`` at the top level. This module imports nothing from
 the package but its errors, so every module that loads such a file can
 use it without an import cycle. The CSV files share its text reader,
-float format and writers. It imports no numpy, for the scalar subcommands.
+float format and text writer. It imports no numpy, for the scalar subcommands.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Collection, Iterable, Mapping
+from typing import Any, Collection, Mapping
 
 from .errors import InputError
 
@@ -19,12 +19,6 @@ FORMAT_VERSION = 1
 
 #: every float in a written CSV: 17 significant digits round-trip a double exactly
 FLOAT_FORMAT = "%.16e"
-
-
-def csv_text(header: str, rows: Iterable[tuple[float, ...]]) -> str:
-    """CSV text: the header, then one line per row tuple, a FLOAT_FORMAT field per header name."""
-    fmt = ",".join([FLOAT_FORMAT] * len(header.split(",")))
-    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
 
 
 CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"

@@ -257,6 +257,8 @@ def component_table(
             )
         where = f"{source}: sample {sample_name!r}"
         check_keys(entry, ("components", "note"), f"{where}: unknown keys")
+        if not isinstance(entry.get("note", ""), str):
+            raise InputError(f"{where}: 'note' must be a string, got {entry['note']!r}")
         table[sample_name] = loss_components(rows, where)
     return table
 

@@ -651,6 +651,20 @@ def test_loss_budget_misspelt_table_key_exits_2(tmp_path, capsys, edit, where):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("note", ["NaN", "1.5", "null", "[\"n\"]", "{}"])
+def test_loss_budget_non_string_note_exits_2(tmp_path, capsys, note):
+    # json.loads accepts NaN, and the report's strict JSON writer would not
+    row = '{"participation": 0.9, "tan_delta": 1e-6}'
+    path = tmp_path / "table.json"
+    path.write_text(
+        '{"format_version": 1, "samples": {"s": {"components": [%s], "note": %s}}}' % (row, note)
+    )
+    code, captured = run(capsys, ["loss-budget", str(path)])
+    assert code == 2
+    assert f"{path}: sample 's': 'note' must be a string" in captured.err
+    assert captured.out == ""
+
+
 def test_truncated_json_reports_line(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text('{"format_version": 1, "stages": [')

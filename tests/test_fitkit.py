@@ -603,6 +603,15 @@ def test_power_fit_underdetermined():
         fit_power_sweep(points)
 
 
+@pytest.mark.parametrize("field", ["n_photons", "q_loaded", "q_uncertainty"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_power_sweep_point_rejects_non_finite_fields(field, value):
+    # an infinite field would be written to a points CSV that read_power_points refuses
+    fields = {"n_photons": 1.0, "q_loaded": 1e5, "q_uncertainty": 1e3, field: value}
+    with pytest.raises(InputError, match=f"{field} must be finite"):
+        PowerSweepPoint(**fields)
+
+
 def test_power_fit_with_coupling_conversion():
     q_c = 5e7
     pure = make_power_points(**TLS_TRUTH)
