@@ -428,12 +428,14 @@ def _traces(
 ) -> Iterator[ComplexTrace]:
     """synthesize_sweep's trace at each instrument power, drawing power k's noise from rngs[k].
 
-    Every stage response but a TLS sample's is computed once, and so is the
-    through product, which holds no sample. A TLS sample's gamma_r is
-    solved for every power in one call, its drive being the input path's
-    gain at its dressed resonance. Per power only that sample's response,
-    the chain product and the noise chain (a TLS sample may follow the
-    first amplifier) are rebuilt.
+    Every stage response but a TLS sample's is computed once, and so are
+    the through product, which holds no sample, and the product of the
+    stages ahead of the sample. A TLS sample's gamma_r is solved for every
+    power in one call, its drive being the input path's gain at its
+    dressed resonance. Per power only that sample's response and the
+    product from it on are rebuilt, in the same order as a single sweep's;
+    the noise chain too, but only when a TLS sample follows the first
+    amplifier, as it is otherwise the same at every power.
     """
     grid, n = sweep.grid, len(sweep.grid)
     index = chain.sample_index
@@ -451,44 +453,49 @@ def _traces(
             responses.append(_stage_response(stage, grid))
             if stage is not sample:
                 h_thru = h_thru * responses[-1]
+    h_ahead = np.ones(n, dtype=complex)
+    for resp in responses[:index]:
+        h_ahead = h_ahead * resp
     amp_index = next(
         (i for i, s in enumerate(chain.stages) if isinstance(s, AmplifierStage)),
         None,
     )
+    refer_per_power = gamma is not None and amp_index is not None and amp_index < index
 
     for k, (p_dbm, rng) in enumerate(zip(powers_dbm, rngs)):
         p_instr_w = watts_from_dbm(p_dbm)
         if gamma is not None:
             system = replace(sample.system, gamma_r=float(gamma[k]))
             responses[index] = _stage_response(SampleStage(system=system), grid)
-        h_raw = np.ones(n, dtype=complex)
-        for resp in responses:
+        h_raw = h_ahead
+        for resp in responses[index:]:
             h_raw = h_raw * resp
 
         noise = np.zeros(n, dtype=complex)
         sigma_trace = None
         if amp_index is not None:
-            gain_power = np.ones(n)
-            t_eff = np.zeros(n)
-            h_noise = np.ones(n, dtype=complex)
-            for i in range(amp_index, len(responses)):
-                stage, resp = chain.stages[i], responses[i]
-                if isinstance(stage, AmplifierStage):
-                    if not np.all(gain_power > 0.0):
-                        raise InputError(
-                            f"stage {i}: the power gain ahead of this amplifier is 0 or NaN "
-                            "in double precision, so its noise cannot be referred"
-                        )
-                    t_eff = t_eff + stage.noise_temperature_k / gain_power
-                # a gain past double range is inf, and T / inf = 0 is the Friis limit;
-                # inf times an underflowed 0 is NaN, rejected at the next amplifier
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gain_power = gain_power * np.abs(resp) ** 2
-                h_noise = h_noise * resp
+            if k == 0 or refer_per_power:
+                gain_power = np.ones(n)
+                t_eff = np.zeros(n)
+                h_noise = np.ones(n, dtype=complex)
+                for i in range(amp_index, len(responses)):
+                    stage, resp = chain.stages[i], responses[i]
+                    if isinstance(stage, AmplifierStage):
+                        if not np.all(gain_power > 0.0):
+                            raise InputError(
+                                f"stage {i}: the power gain ahead of this amplifier is 0 or "
+                                "NaN in double precision, so its noise cannot be referred"
+                            )
+                        t_eff = t_eff + stage.noise_temperature_k / gain_power
+                    # a gain past double range is inf, and T / inf = 0 is the Friis limit;
+                    # inf times an underflowed 0 is NaN, rejected at the next amplifier
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        gain_power = gain_power * np.abs(resp) ** 2
+                    h_noise = h_noise * resp
+                sigma_w = np.sqrt(BOLTZMANN * t_eff * sweep.rbw_hz / sweep.averages)
             scale = h_noise / math.sqrt(p_instr_w)
             if plane == "calibrated":
                 scale = scale / h_thru
-            sigma_w = np.sqrt(BOLTZMANN * t_eff * sweep.rbw_hz / sweep.averages)
             if np.any(sigma_w > 0.0):
                 draw = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
                 noise = sigma_w * draw * scale

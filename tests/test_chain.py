@@ -589,6 +589,54 @@ def test_run_power_series_with_the_tls_sample_after_the_first_amplifier(monkeypa
         assert not np.allclose(low, high, rtol=1e-3, atol=0.0)
 
 
+def test_run_power_series_with_the_tls_sample_ahead_of_the_first_amplifier(monkeypatch):
+    # the noise chain then holds no response that depends on power
+    chain = ch.ChainSpec(
+        stages=(
+            ch.AttenuatorStage(60.0),
+            ch.SampleStage(system=SATURATING_SYSTEM, tls=SATURATING_TLS),
+            ch.AmplifierStage(20.0, 4.0),
+            ch.AttenuatorStage(6.0),
+            ch.AmplifierStage(40.0, 300.0),
+        ),
+        rng_seed=37,
+    )
+    rates = purcell(SATURATING_SYSTEM)
+    nu = rates.omega_r_dressed / TWO_PI
+    half = 5.0 * rates.kappa_pur / TWO_PI
+    sweep = ch.SweepSpec(
+        ch.FrequencyGrid.linspace(nu - half, nu + half, 301),
+        instrument_power_dbm=0.0,
+        averages=1000,
+    )
+    powers = [-110.0, -70.0, -30.0]
+    traces = []
+
+    def fake_fit(trace):
+        traces.append(trace)
+        return FitResult({}, None, float("nan"), False, 0)
+
+    monkeypatch.setattr(ch, "fit_spectrum", fake_fit)
+    ch.run_power_series(chain, sweep, powers)
+    monkeypatch.undo()
+
+    seeds = np.random.SeedSequence(chain.rng_seed).spawn(len(powers))
+    for p_dbm, seed, trace in zip(powers, seeds, traces, strict=True):
+        expected = ch.synthesize_sweep(
+            chain,
+            replace(sweep, instrument_power_dbm=p_dbm),
+            rng=np.random.default_rng(seed),
+            plane="calibrated",
+        )
+        assert trace.s21.tobytes() == expected.s21.tobytes()
+        assert trace.sigma.tobytes() == expected.sigma.tobytes()
+    # sigma scales as 1/sqrt(power) alone, although the sample saturates
+    scaled = [t.sigma * math.sqrt(ch.watts_from_dbm(p)) for p, t in zip(powers, traces)]
+    for low, high in zip(scaled, scaled[1:]):
+        assert_allclose(high, low, rtol=1e-12, atol=0.0)
+    assert not np.allclose(traces[0].s21, traces[-1].s21, rtol=1e-3, atol=0.0)
+
+
 def mux_series_setup(tls):
     """Full chain (mux on the input path) with the sample and a grid around it."""
     system = BUNDLED_SYSTEM if tls is None else SATURATING_SYSTEM

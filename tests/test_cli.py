@@ -182,6 +182,24 @@ def test_fit_spectrum_unconverged_exits_3(tmp_path):
     assert report["converged"] is False
 
 
+def test_fit_spectrum_ending_on_the_q_bound_exits_3(tmp_path):
+    # at 600 averages this seed's fit runs q_loaded onto its 1e12 bound
+    sweep = json.loads(Path(ch.example_sweep_path()).read_text(encoding="utf-8"))
+    sweep["averages"] = 600
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(sweep))
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate", ch.example_chain_path(), str(sweep_path), "--seed", "1116"]
+    assert main(argv + ["-o", str(trace)]) == 0
+    report_path = tmp_path / "report.json"
+    assert main(["fit-spectrum", str(trace), "-o", str(report_path)]) == 3
+    report = json.loads(report_path.read_text())
+    assert report["converged"] is False
+    assert report["params"]["q_loaded"] == 1e12
+    assert "q_loaded on its bound" in report["message"]
+    assert "n_photons" not in report
+
+
 def test_fit_spectrum_featureless_trace_exits_2(tmp_path, capsys):
     grid = ch.FrequencyGrid.linspace(4.9e9, 4.9001e9, 101)
     rng = np.random.default_rng(0)

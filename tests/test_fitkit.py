@@ -141,6 +141,28 @@ def test_bounds_pin_the_solution():
     assert_allclose(result.params["x0"], 2.0, atol=1e-12)
 
 
+def test_covariance_drops_a_rank_deficient_direction_as_pinv_does():
+    # two identical columns: the equilibrated normal matrix is singular, and
+    # pinv's cutoff (singular values <= 1e-15 of the largest) drops that
+    # direction instead of inverting a rounding-level eigenvalue
+    t = np.linspace(0.0, 1.0, 40)
+    y = 0.5 + 1.5 * t + 0.01 * np.sin(7.0 * t)
+    design = np.column_stack([np.ones_like(t), t, t])
+    result = lm_minimize(lambda x: design @ x - y, [0.0, 0.0, 0.0], jac=lambda x: design)
+    assert result.converged
+    normal = design.T @ design
+    d = np.sqrt(np.diag(normal))
+    reduced = result.residual_norm ** 2 / (t.size - 3)
+    expected = reduced * np.linalg.pinv(normal / np.outer(d, d)) / np.outer(d, d)
+    assert_allclose(result.covariance, expected, rtol=1e-12)
+    # x1 + x2 is the slope of the full-rank fit; x1 - x2 is not determined
+    full = design[:, :2]
+    slope_var = reduced * np.linalg.inv(full.T @ full)[1, 1]
+    cov = result.covariance
+    assert_allclose(cov[1, 1] + 2.0 * cov[1, 2] + cov[2, 2], slope_var, rtol=1e-12)
+    assert abs(cov[1, 1] - 2.0 * cov[1, 2] + cov[2, 2]) <= 1e-12 * slope_var
+
+
 def test_iteration_limit_reports_unconverged(monkeypatch):
     def residuals(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
@@ -345,6 +367,47 @@ def test_high_q_fit_converges_in_few_iterations():
         result = fit_spectrum(trace)
         assert result.converged
         assert result.iterations < 10
+
+
+@pytest.mark.parametrize(
+    "archetype", C03_ARCHETYPES, ids=lambda a: f"q_loaded_{a.q_loaded:g}"
+)
+def test_spectrum_covariance_is_reduced_chi2_times_pinv_of_the_normal_matrix(archetype):
+    trace = lorentzian_trace(archetype, snr_db=30.0, rng=np.random.default_rng(600))
+    result = fit_spectrum(trace)
+    assert result.converged
+    x = np.array([result.params[name] for name in fitkit.SPECTRUM_PARAM_NAMES])
+    jmat = spectrum_model_jacobian(x, trace.grid.points, 1.0 / trace.sigma)
+    normal = jmat.T @ jmat
+    d = np.sqrt(np.diag(normal))
+    reduced = result.residual_norm ** 2 / (jmat.shape[0] - x.size)
+    expected = reduced * np.linalg.pinv(normal / np.outer(d, d)) / np.outer(d, d)
+    assert_allclose(np.diag(result.covariance), np.diag(expected), rtol=1e-12)
+    # off the diagonal relative to sqrt(C_ii C_jj): elementwise, a correlation
+    # near 0 differs more than that between pinv's own two triangles
+    scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+    assert_allclose(result.covariance / scale, expected / scale, rtol=0.0, atol=1e-12)
+
+
+def test_spectrum_fit_ending_on_a_bound_is_not_converged(monkeypatch):
+    # a minimizer that stops with q_loaded clipped to its upper bound
+    original = fitkit.lm_minimize
+
+    def pinned(residuals, init, bounds=None, **kwargs):
+        result = original(residuals, init, bounds=bounds, **kwargs)
+        params = dict(result.params, q_loaded=bounds[1][1])
+        return FitResult(params, result.covariance, result.residual_norm, True, 7, "converged")
+
+    trace = lorentzian_trace(C03_ARCHETYPES[0], snr_db=30.0, rng=np.random.default_rng(61))
+    free = fit_spectrum(trace)
+    assert free.converged and free.message == "converged"
+    monkeypatch.setattr(fitkit, "lm_minimize", pinned)
+    result = fit_spectrum(trace)
+    assert not result.converged
+    assert result.message == "stopped with q_loaded on its bound 1e+12"
+    assert result.params["q_loaded"] == 1e12
+    with pytest.raises(InputError, match="converged"):
+        photon_axis(1e-18, result, result.params["f_r"])
 
 
 # ---------------------------------------------------------------- initializer
