@@ -31,7 +31,7 @@ from .fitkit import (
     photon_axis,
 )
 from .jsonfile import CONFIG_DIR_ENV, resolve_config_path  # re-exported for callers
-from .jsonfile import check_keys, json_int, read_text, read_versioned, write_text
+from .jsonfile import check_keys, json_float, json_int, read_text, read_versioned, write_text
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
 from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
@@ -562,6 +562,12 @@ def _require(mapping: Mapping[str, Any], key: str) -> Any:
     return mapping[key]
 
 
+def _float(mapping: Mapping[str, Any], key: str, default: float | None = None) -> float:
+    """mapping[key] by json_float's rule; absent, it is default, or without one an InputError."""
+    value = _require(mapping, key) if default is None else mapping.get(key, default)
+    return json_float(value, key)
+
+
 def _build_tls(raw: Any) -> TlsModel | None:
     if raw is None:
         return None
@@ -571,7 +577,7 @@ def _build_tls(raw: Any) -> TlsModel | None:
     components = loss_components(raw.get("components", []), "tls")
     q0 = raw.get("q0")
     try:
-        return TlsModel(components, q0=math.inf if q0 is None else float(q0))
+        return TlsModel(components, q0=math.inf if q0 is None else json_float(q0, "q0"))
     except (TypeError, ValueError) as exc:
         raise InputError(f"tls: {exc}") from exc
 
@@ -580,7 +586,7 @@ def _build_mux_config(overrides: Any) -> MuxConfig:
     """MuxConfig from a flat override object.
 
     Keys are MuxConfig's scalar fields plus SwitchBranch's fields; n_ports
-    takes json_int's integer rule, every other value is a float, and absent
+    takes json_int's integer rule, every other value json_float's, and absent
     keys keep the default. An unknown key is rejected rather than silently
     ignored.
     """
@@ -592,7 +598,7 @@ def _build_mux_config(overrides: Any) -> MuxConfig:
     values = {
         name: json_int(value, f"config {name}")
         if isinstance(known[name].default, int)
-        else float(value)
+        else json_float(value, f"config {name}")
         for name, value in overrides.items()
     }
     branch = SwitchBranch(
@@ -610,35 +616,35 @@ def _build_stage(raw: Any) -> Stage:
         raise InputError(f"unknown stage type {kind!r}")
     check_keys(raw, _STAGE_KEYS[kind] + ("type", "description"), f"unknown {kind} stage keys")
     if kind == "attenuator":
-        return AttenuatorStage(loss_db=float(_require(raw, "loss_db")))
+        return AttenuatorStage(loss_db=_float(raw, "loss_db"))
     if kind == "mux":
         selected = raw.get("selected_port")
         return MuxStage(
             config=_build_mux_config(raw.get("config", {})),
             selected_port=None if selected is None else json_int(selected, "selected_port"),
             input_port=json_int(raw.get("input_port", 0), "input_port"),
-            v_dd=float(raw.get("v_dd", V_DD_NOMINAL)),
+            v_dd=_float(raw, "v_dd", V_DD_NOMINAL),
         )
     if kind == "sample":
         system = CavityLerSystem(
-            omega_c=TWO_PI * float(_require(raw, "f_cavity_hz")),
-            omega_r=TWO_PI * float(_require(raw, "f_resonator_hz")),
-            g=TWO_PI * float(_require(raw, "g_hz")),
-            kappa_i=TWO_PI * float(_require(raw, "kappa_i_hz")),
-            kappa_o=TWO_PI * float(_require(raw, "kappa_o_hz")),
-            gamma_c=TWO_PI * float(raw.get("gamma_c_hz", 0.0)),
-            gamma_r=TWO_PI * float(_require(raw, "gamma_r_hz")),
+            omega_c=TWO_PI * _float(raw, "f_cavity_hz"),
+            omega_r=TWO_PI * _float(raw, "f_resonator_hz"),
+            g=TWO_PI * _float(raw, "g_hz"),
+            kappa_i=TWO_PI * _float(raw, "kappa_i_hz"),
+            kappa_o=TWO_PI * _float(raw, "kappa_o_hz"),
+            gamma_c=TWO_PI * _float(raw, "gamma_c_hz", 0.0),
+            gamma_r=TWO_PI * _float(raw, "gamma_r_hz"),
         )
         return SampleStage(system=system, tls=_build_tls(raw.get("tls")))
     if kind == "bandpass":
         return BandpassStage(
-            f_low_hz=float(_require(raw, "f_low_hz")),
-            f_high_hz=float(_require(raw, "f_high_hz")),
-            rejection_db=float(_require(raw, "rejection_db")),
+            f_low_hz=_float(raw, "f_low_hz"),
+            f_high_hz=_float(raw, "f_high_hz"),
+            rejection_db=_float(raw, "rejection_db"),
         )
     return AmplifierStage(
-        gain_db=float(_require(raw, "gain_db")),
-        noise_temperature_k=float(raw.get("noise_temperature_k", AMP_NOISE_TEMP_DEFAULT_K)),
+        gain_db=_float(raw, "gain_db"),
+        noise_temperature_k=_float(raw, "noise_temperature_k", AMP_NOISE_TEMP_DEFAULT_K),
     )
 
 
@@ -668,15 +674,15 @@ def load_sweep_spec(path: str) -> SweepSpec:
     check_keys(raw, known, f"{path}: unknown sweep keys")
     try:
         grid = FrequencyGrid.linspace(
-            float(_require(raw, "f_start_hz")),
-            float(_require(raw, "f_stop_hz")),
+            _float(raw, "f_start_hz"),
+            _float(raw, "f_stop_hz"),
             json_int(_require(raw, "points_per_trace"), "points_per_trace"),
         )
         return SweepSpec(
             grid=grid,
-            instrument_power_dbm=float(_require(raw, "instrument_power_dbm")),
+            instrument_power_dbm=_float(raw, "instrument_power_dbm"),
             averages=json_int(raw.get("averages", 1), "averages"),
-            rbw_hz=float(raw.get("rbw_hz", RBW_DEFAULT_HZ)),
+            rbw_hz=_float(raw, "rbw_hz", RBW_DEFAULT_HZ),
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc

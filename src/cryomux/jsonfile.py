@@ -64,6 +64,8 @@ def read_versioned(path: str) -> dict[str, Any]:
         raise InputError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # int's digit limit, or nesting too deep
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     version = raw.get("format_version")
@@ -91,3 +93,14 @@ def json_int(value: Any, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{label} must be an integer, got {value!r}")
     return value
+
+
+def json_float(value: Any, label: str) -> float:
+    """A JSON number field as a float, NaN and infinities included; a bool, a
+    string, another type or an integer beyond double range is an InputError naming label."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{label} is an integer beyond double range") from None

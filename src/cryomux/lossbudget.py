@@ -1,22 +1,23 @@
 """Dielectric loss accounting for superconducting resonators.
 
-Two complementary views of the same physics live here. The saturable
-two-level-system model gives the power-dependent internal loss that fits
-measured Q versus photon number. The participation budget multiplies each
-dielectric's energy participation by its loss tangent to predict the
-unsaturated internal loss of a given material stack, and inverts that
-product to extract an unknown loss tangent from a measured Q.
+Each dielectric is a loss component: its energy participation times its
+loss tangent, saturated by a two-level-system bath. The TLS model sums the
+components and a power-independent background into the internal loss
+1/Q_i at a photon number, which the power-sweep fit matches to measured Q.
+The budget sums the unsaturated losses of a material stack into its
+predicted internal Q. Component rows come from a bundled table or a
+chain's ``tls`` block, through one reader.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Any, Mapping, Sequence
 
 from .errors import BudgetError, InputError
-from .jsonfile import check_keys, read_versioned
+from .jsonfile import check_keys, json_float, read_versioned
 
 #: photon saturation level assumed when a loss-component row does not give one
 N_C_DEFAULT = 1.0
@@ -82,44 +83,6 @@ class TlsModel:
 
 
 @dataclass(frozen=True)
-class Region:
-    """A sub-region of the resonator layout with its stored-energy share."""
-
-    name: str
-    energy_fraction: float
-    participation: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.energy_fraction <= 1.0:
-            raise InputError(
-                f"energy fraction of region {self.name!r} must lie in [0, 1]"
-            )
-
-
-#: quoted energy fractions are rounded to a tenth of a percent, so their sum
-#: is allowed to miss unity by up to half a percent
-ENERGY_SUM_TOLERANCE = 5e-3
-
-
-@dataclass(frozen=True)
-class RegionEnergySplit:
-    """Partition of the stored energy over layout regions."""
-
-    regions: tuple[Region, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if not self.regions:
-            raise InputError("an energy split needs at least one region")
-        total = sum(r.energy_fraction for r in self.regions)
-        if abs(total - 1.0) > ENERGY_SUM_TOLERANCE:
-            raise InputError(
-                f"region energy fractions sum to {total:.4f}, expected 1 "
-                f"within {ENERGY_SUM_TOLERANCE:.1%}"
-            )
-
-
-@dataclass(frozen=True)
 class BudgetResult:
     """Per-component and total unsaturated loss with the implied Q."""
 
@@ -157,70 +120,20 @@ def qi_inverse_with_slope(model: TlsModel, n) -> tuple[np.ndarray, np.ndarray]:
     return loss, slope
 
 
-def budget_total(
-    components: Sequence[LossComponent | tuple[float, float]],
-    q0: float | None = None,
-) -> BudgetResult:
+def budget_total(components: Sequence[LossComponent]) -> BudgetResult:
     """Unsaturated loss budget: participation times loss tangent, summed.
 
-    Accepts LossComponent entries or bare (participation, tan_delta) pairs.
     A total that is zero, infinite, or so small that its inverse overflows
     has no finite quality factor and is a BudgetError.
     """
-    entries = [
-        comp if isinstance(comp, LossComponent) else LossComponent(f"component_{j}", *comp)
-        for j, comp in enumerate(components)
-    ]
-    per = [(comp.name, comp.unsaturated_loss) for comp in entries]
+    per = tuple((comp.name, comp.unsaturated_loss) for comp in components)
     total = sum(loss for _, loss in per)
-    if q0 is not None:
-        if not q0 > 0.0:
-            raise InputError(f"q0 must be positive, got {q0!r}")
-        total += 1.0 / q0
     q_factor = 1.0 / total if total > 0.0 else math.inf
     if not (math.isfinite(total) and math.isfinite(q_factor)):
         raise BudgetError(
             f"total loss {total!r} implies no finite quality factor"
         )
-    return BudgetResult(tuple(per), total, q_factor)
-
-
-def weighted_participation(split: RegionEnergySplit, dielectric: str) -> float:
-    """Energy-weighted participation of one dielectric across all regions."""
-    acc = 0.0
-    for region in split.regions:
-        if dielectric not in region.participation:
-            raise InputError(
-                f"region {region.name!r} gives no participation for "
-                f"{dielectric!r}; provide 0 explicitly if it is absent there"
-            )
-        acc += region.energy_fraction * region.participation[dielectric]
-    return acc
-
-
-def extract_tan_delta(
-    measured_qi: float, participation: float, other_losses: float = 0.0
-) -> float:
-    """Loss tangent of one dielectric from a measured internal Q.
-
-    Subtracts the known losses of everything else, then divides the residual
-    by the dielectric's participation.
-    """
-    if not measured_qi > 0.0:
-        raise InputError(f"measured_qi must be positive, got {measured_qi!r}")
-    if not participation > 0.0:
-        raise InputError(
-            f"participation must be positive to attribute loss, got {participation!r}"
-        )
-    if not other_losses >= 0.0:
-        raise InputError(f"other_losses must be non-negative, got {other_losses!r}")
-    residual = 1.0 / measured_qi - other_losses
-    if residual <= 0.0:
-        raise BudgetError(
-            f"known losses {other_losses:g} already exceed the measured loss "
-            f"{1.0 / measured_qi:g}; the budget is inconsistent"
-        )
-    return residual / participation
+    return BudgetResult(per, total, q_factor)
 
 
 def component_table_path() -> str:
@@ -266,8 +179,8 @@ def component_table(
 def loss_components(rows: Any, context: str) -> tuple[LossComponent, ...]:
     """LossComponents from a JSON list of row objects.
 
-    participation and tan_delta are required; name defaults to component_{j}
-    for row j (budget_total's label for a bare pair), n_c and beta to their
+    participation and tan_delta are required and read by json_float's rule;
+    name defaults to component_{j} for row j, n_c and beta to their
     defaults. Another key or a non-object row is an InputError naming both.
     """
     if not isinstance(rows, list):
@@ -279,7 +192,7 @@ def loss_components(rows: Any, context: str) -> tuple[LossComponent, ...]:
             raise InputError(f"{where}: expected an object, got {row!r}")
         check_keys(row, [f.name for f in fields(LossComponent)], f"{where}: unknown keys")
         try:
-            numbers = {key: float(value) for key, value in row.items() if key != "name"}
+            numbers = {key: json_float(value, key) for key, value in row.items() if key != "name"}
             built.append(LossComponent(str(row.get("name", f"component_{j}")), **numbers))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from exc

@@ -40,8 +40,8 @@ SUBTHRESHOLD_SLOPE_DEFAULT = 0.002
 
 T_CLK_DEFAULT = 10e-9
 
-#: switching time constant versus carrier frequency, (Hz, s) pairs
-TAU_TABLE_DEFAULT = ((4e9, 0.6e-9), (6e9, 0.4e-9))
+#: measured switching time constant at two carrier frequencies, (Hz, s) pairs
+TAU_TABLE = ((4e9, 0.6e-9), (6e9, 0.4e-9))
 
 
 @dataclass(frozen=True)
@@ -225,28 +225,38 @@ def _branch_two_port(
     S11 = (Z/z0 - Y*z0 - YZ)/den, S21 = S12 = 2/den and
     S22 = (Z/z0 - Y*z0 + YZ)/den; the matched pad of transmission t scales
     S21 and S12 by t and S22 by t**2. Each element is clamped at
-    DEGENERATE_LIMIT as ``rfnet`` clamps it.
+    DEGENERATE_LIMIT as ``rfnet`` clamps it; an element that overflows
+    before the clamp (c_off, l_match or the grid too large, a series
+    admittance that underflows to 0) is an InputError.
     """
-    omega = grid.omega
-    jwc = 1j * omega * cfg.branch.c_off
     g_on = branch_conductance(cfg, v_dd)
-    if selected:
-        y_series = g_on + jwc
-        y_shunt = jwc  # shunt transistor held off, its capacitance remains
-    else:
-        g_gate_low = branch_conductance(cfg, 0.0)  # off transistor, gate held low
-        y_series = g_gate_low + jwc
-        y_shunt = g_on + jwc
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = grid.omega
+        jwc = 1j * omega * cfg.branch.c_off
+        if selected:
+            y_series = g_on + jwc
+            y_shunt = jwc  # shunt transistor held off, its capacitance remains
+        else:
+            g_gate_low = branch_conductance(cfg, 0.0)  # off transistor, gate held low
+            y_series = g_gate_low + jwc
+            y_shunt = g_on + jwc
+        z_switch = 1.0 / y_series
+        z_match = 1j * omega * cfg.l_match
+    if not all(np.isfinite(v).all() for v in (y_shunt, z_switch, z_match)):
+        raise InputError(
+            f"switch branch elements overflow on a grid up to {float(grid.points[-1])!r} Hz "
+            f"with c_off {cfg.branch.c_off!r} F and l_match {cfg.l_match!r} H"
+        )
     y = rfnet.clamp_degenerate(y_shunt, "shunt admittance")
-    z_switch = rfnet.clamp_degenerate(1.0 / y_series, "series impedance")
-    z_match = rfnet.clamp_degenerate(1j * omega * cfg.l_match, "series impedance")
+    z_switch = rfnet.clamp_degenerate(z_switch, "series impedance")
+    z_match = rfnet.clamp_degenerate(z_match, "series impedance")
     z = z_switch + z_match
     z0 = rfnet.Z0_DEFAULT
     zn = z / z0
     yn = y * z0
     yz = y * z
     den = 2.0 + zn + yn + yz
-    if np.any(den == 0.0) or not np.all(np.isfinite(den)):
+    if np.any(den == 0.0):
         raise SingularNetworkError("switch branch hit a singular denominator")
     t = 10.0 ** (-cfg.parasitic_loss_db / 20.0)
     s = np.empty((len(grid), 2, 2), dtype=complex)
@@ -292,37 +302,25 @@ def switching_envelope(tau: float, t) -> np.ndarray | float:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def rise_time(tau: float, level: float = 0.95) -> float:
-    """Time to reach the given fraction of the final value."""
+def rise_time(tau: float) -> float:
+    """Time to reach 95% of the final value, tau*ln(20)."""
     if not (tau > 0.0):
         raise InputError("tau must be positive")
-    if not (0.0 < level < 1.0):
-        raise InputError("level must be inside (0, 1)")
-    return tau * math.log(1.0 / (1.0 - level))
+    return tau * math.log(20.0)
 
 
-def switching_tau(
-    carrier_freq_hz: float,
-    table: tuple[tuple[float, float], ...] = TAU_TABLE_DEFAULT,
-) -> float:
-    """Transient time constant at a carrier frequency, by piecewise-linear
-    interpolation of the configured table (end segments extrapolate)."""
-    if len(table) < 2:
-        raise InputError("tau table needs at least two points")
-    freqs = np.array([f for f, _ in table], dtype=float)
-    taus = np.array([tau for _, tau in table], dtype=float)
-    if np.any(np.diff(freqs) <= 0.0):
-        raise InputError("tau table frequencies must be strictly increasing")
-    if carrier_freq_hz <= 0.0:
+def switching_tau(carrier_freq_hz: float) -> float:
+    """Transient time constant at a carrier frequency, on the line through
+    TAU_TABLE's two points (extrapolated outside them)."""
+    if not (carrier_freq_hz > 0.0):
         raise InputError("carrier frequency must be positive")
-    idx = int(np.clip(np.searchsorted(freqs, carrier_freq_hz) - 1, 0, len(freqs) - 2))
-    slope = (taus[idx + 1] - taus[idx]) / (freqs[idx + 1] - freqs[idx])
-    tau = taus[idx] + slope * (carrier_freq_hz - freqs[idx])
+    (f0, tau0), (f1, tau1) = TAU_TABLE
+    tau = tau0 + (tau1 - tau0) / (f1 - f0) * (carrier_freq_hz - f0)
     if tau <= 0.0:
         raise OutOfRangeError(
             f"tau table extrapolates to a non-positive value at {carrier_freq_hz} Hz"
         )
-    return float(tau)
+    return tau
 
 
 @dataclass(frozen=True)

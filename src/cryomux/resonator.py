@@ -133,11 +133,18 @@ def purcell(system: CavityLerSystem) -> PurcellRates:
             "cavity and resonator are degenerate; the dressed-rate expansion "
             "has no meaning at zero detuning"
         )
-    scale = (system.g / delta) ** 2
+    try:
+        scale = (system.g / delta) ** 2
+        shift = system.g ** 2 / delta
+    except OverflowError:
+        raise InputError(
+            f"g {system.g!r} rad/s is too strong for the dressed-rate expansion "
+            f"at detuning {delta!r} rad/s: its square overflows"
+        ) from None
     return PurcellRates(
         kappa_pur_i=system.kappa_i * scale,
         kappa_pur_o=system.kappa_o * scale,
-        omega_r_dressed=system.omega_r - system.g ** 2 / delta,
+        omega_r_dressed=system.omega_r - shift,
     )
 
 

@@ -291,12 +291,3 @@ def attenuator(grid: FrequencyGrid, loss_db: float, z0: float = Z0_DEFAULT) -> S
     s[:, 1, 0] = t
     return SMatrix(grid, s, z0)
 
-
-def s_to_db(values):
-    """20*log10 |values|, with exact zeros mapped to -inf quietly."""
-    scalar_in = np.ndim(values) == 0
-    mag = np.atleast_1d(np.abs(np.asarray(values)))
-    out = np.full(mag.shape, -np.inf)
-    nz = mag > 0.0
-    out[nz] = 20.0 * np.log10(mag[nz])
-    return float(out[0]) if scalar_in else out

@@ -1010,7 +1010,7 @@ INTEGER_SITES = {
 
 def _load_edited(path, site, value):
     """Write the bundled chain or sweep file with the site's field set to value, then load it."""
-    kind, holder, key = INTEGER_SITES[site]
+    kind, holder, key = {**INTEGER_SITES, **FLOAT_SITES}[site]
     source = ch.example_sweep_path() if kind == "sweep" else ch.example_chain_path()
     with open(source, encoding="utf-8") as handle:
         raw = json.load(handle)
@@ -1041,6 +1041,39 @@ def test_json_integer_fields_accept_integral_floats(tmp_path, site):
 
 def _sample(raw):
     return next(stage for stage in raw["stages"] if stage["type"] == "sample")
+
+
+def _tls_row(raw):
+    row = {"participation": 0.5, "tan_delta": 1e-6}
+    _sample(raw)["tls"] = {"components": [row]}
+    return row
+
+
+#: (file, the object holding the field, its key) for float fields of each loader and row reader
+FLOAT_SITES = {
+    "attenuator_loss_db": ("chain", lambda raw: raw["stages"][0], "loss_db"),
+    "amplifier_gain_db": ("chain", lambda raw: raw["stages"][-1], "gain_db"),
+    "mux_config_c_off": ("chain", _mux_config, "c_off"),
+    "sample_g_hz": ("chain", _sample, "g_hz"),
+    "tls_participation": ("chain", _tls_row, "participation"),
+    "sweep_rbw_hz": ("sweep", _top, "rbw_hz"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+@pytest.mark.parametrize(
+    "value", [True, False, "20", 10**400], ids=["true", "false", "string", "int_1e400"]
+)
+def test_json_float_fields_reject_bools_strings_and_huge_integers(tmp_path, site, value):
+    path = tmp_path / "edited.json"
+    with pytest.raises(InputError) as info:
+        _load_edited(path, site, value)
+    key = FLOAT_SITES[site][2]
+    assert str(info.value).startswith(f"{path}: ")
+    if isinstance(value, int) and not isinstance(value, bool):
+        assert f"{key} is an integer beyond double range" in str(info.value)
+    else:
+        assert f"{key} must be a number, got {value!r}" in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shutil
@@ -310,6 +311,15 @@ def test_loss_budget_bundled_table(capsys):
     worst = report["samples"]["standard_si"]
     assert_allclose(worst["q_factor"], 1.1946e4, rtol=1e-3)
     assert "1.20e3" in worst["note"]
+
+
+def test_loss_budget_report_bytes_are_pinned(capsys):
+    code, captured = run(capsys, ["loss-budget"])
+    assert code == 0
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert digest == "209ea56714344d1f6c34b53d60577c2f20f16acdb08050818cfccc5711142426", (
+        captured.out
+    )
 
 
 def test_loss_budget_unknown_sample_exits_2(capsys):

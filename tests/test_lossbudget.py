@@ -11,16 +11,12 @@ from cryomux import lossbudget
 from cryomux.errors import BudgetError, InputError
 from cryomux.lossbudget import (
     LossComponent,
-    Region,
-    RegionEnergySplit,
     TlsModel,
     budget_total,
-    extract_tan_delta,
     load_component_table,
     loss_components,
     qi_inverse,
     qi_inverse_with_slope,
-    weighted_participation,
 )
 
 RNG = np.random.default_rng(20260822)
@@ -99,131 +95,38 @@ def test_budget_bundled_table_arithmetic():
         assert len(result.per_component) == len(comps)
 
 
-def test_budget_accepts_bare_pairs():
-    result = budget_total([(0.917, 2.6e-7), (6.0e-5, 1.0e-3), (1.2e-4, 1.7e-3)])
+def components(*pairs):
+    """LossComponents from (participation, tan_delta) pairs, named by position."""
+    return [LossComponent(f"component_{j}", p, t) for j, (p, t) in enumerate(pairs)]
+
+
+def test_budget_sums_components():
+    result = budget_total(components((0.917, 2.6e-7), (6.0e-5, 1.0e-3), (1.2e-4, 1.7e-3)))
     assert_allclose(result.total_loss, 5.0242e-7, rtol=1e-4)
     assert_allclose(result.q_factor, 1.990e6, rtol=1e-3)
 
 
-def test_budget_with_background_q():
-    result = budget_total([(0.5, 1e-6)], q0=1e6)
-    assert_allclose(result.total_loss, 5e-7 + 1e-6, rtol=1e-15)
-
-
 def test_budget_zero_component_contributes_nothing():
-    with_zero = budget_total([(0.917, 2.6e-7), (0.0, 1.0e-3)])
-    without = budget_total([(0.917, 2.6e-7)])
+    with_zero = budget_total(components((0.917, 2.6e-7), (0.0, 1.0e-3)))
+    without = budget_total(components((0.917, 2.6e-7)))
     assert with_zero.total_loss == without.total_loss
 
 
 def test_budget_all_zero_is_flagged():
     with pytest.raises(BudgetError):
-        budget_total([(0.0, 1e-3), (0.5, 0.0)])
+        budget_total(components((0.0, 1e-3), (0.5, 0.0)))
 
 
 def test_budget_without_finite_q_is_flagged():
     # 1/1e-320 overflows; an infinite or NaN total has no quality factor either
-    for components in (
+    for pairs in (
         [(1.0, 1e-320)],
         [(1.0, math.inf)],
         [(0.0, math.inf)],
         [(1.0, 1e308), (1.0, 1e308)],
     ):
         with pytest.raises(BudgetError, match="no finite quality factor"):
-            budget_total(components)
-
-
-# ---------------------------------------------------------------- extraction
-
-def test_extract_capping_nitride_tangent():
-    tan = extract_tan_delta(2.0e5, 0.0021, other_losses=2.4e-7)
-    assert_allclose(tan, (5.0e-6 - 2.4e-7) / 0.0021, rtol=1e-12)
-    assert_allclose(tan, 2.27e-3, rtol=2e-3)
-
-
-def test_extract_substrate_tangent():
-    tan = extract_tan_delta(1.2e4, 0.917, other_losses=0.0)
-    assert_allclose(tan, 9.09e-5, rtol=2e-3)
-
-
-def test_extract_boundary_and_inconsistency():
-    with pytest.raises(BudgetError):
-        extract_tan_delta(1e6, 0.5, other_losses=1e-6)
-    with pytest.raises(BudgetError):
-        extract_tan_delta(1e6, 0.5, other_losses=2e-6)
-
-
-def test_extract_budget_round_trip():
-    for _ in range(20):
-        base = budget_total(
-            [(RNG.uniform(0.1, 0.9), 10.0 ** RNG.uniform(-8.0, -5.0))]
-        )
-        participation = RNG.uniform(1e-4, 0.05)
-        tan_delta = 10.0 ** RNG.uniform(-4.0, -2.0)
-        extended = budget_total(
-            [(participation, tan_delta)], q0=1.0 / base.total_loss
-        )
-        recovered = extract_tan_delta(
-            1.0 / extended.total_loss, participation, other_losses=base.total_loss
-        )
-        assert_allclose(recovered, tan_delta, rtol=1e-12)
-
-
-# ---------------------------------------------------------------- regions
-
-def layout_split(pr_cap=(1.0, 0.0, 0.0)):
-    names = ("capacitor", "inductor", "remainder")
-    fractions = (0.781, 0.169, 0.051)
-    regions = tuple(
-        Region(n, f, {"substrate_oxide": p})
-        for n, f, p in zip(names, fractions, pr_cap)
-    )
-    return RegionEnergySplit(regions)
-
-
-def test_weighted_participation_fractions():
-    split = layout_split()
-    assert_allclose(weighted_participation(split, "substrate_oxide"), 0.781, rtol=1e-15)
-
-
-def test_weighted_participation_uniform_and_zero():
-    fractions = (0.78, 0.17, 0.05)
-    regions = tuple(
-        Region(n, f, {"sub": 0.42, "zero": 0.0})
-        for n, f in zip(("a", "b", "c"), fractions)
-    )
-    split = RegionEnergySplit(regions)
-    assert_allclose(weighted_participation(split, "sub"), 0.42, rtol=1e-12)
-    assert weighted_participation(split, "zero") == 0.0
-
-
-def test_weighted_participation_linear_and_order_free():
-    fractions = (0.5, 0.3, 0.2)
-    pr = (0.1, 0.7, 0.2)
-    regions = [
-        Region(n, f, {"d": p}) for n, f, p in zip(("a", "b", "c"), fractions, pr)
-    ]
-    forward = weighted_participation(RegionEnergySplit(tuple(regions)), "d")
-    shuffled = weighted_participation(
-        RegionEnergySplit((regions[2], regions[0], regions[1])), "d"
-    )
-    assert_allclose(forward, shuffled, rtol=1e-15)
-    doubled = [
-        Region(n, f, {"d": 2.0 * p}) for n, f, p in zip(("a", "b", "c"), fractions, pr)
-    ]
-    assert_allclose(
-        weighted_participation(RegionEnergySplit(tuple(doubled)), "d"),
-        2.0 * forward,
-        rtol=1e-15,
-    )
-
-
-def test_region_sum_and_missing_key_rejected():
-    with pytest.raises(InputError):
-        RegionEnergySplit((Region("a", 0.5, {}), Region("b", 0.4, {})))
-    split = layout_split()
-    with pytest.raises(InputError):
-        weighted_participation(split, "unknown_dielectric")
+            budget_total(components(*pairs))
 
 
 # ---------------------------------------------------------------- table io
@@ -259,10 +162,6 @@ def test_loss_component_rows_share_defaults_and_reject_unknown_keys():
         LossComponent("oxide", 0.1, 1e-3, 5.0, 0.3),
         LossComponent("component_1", 0.9, 2e-7, lossbudget.N_C_DEFAULT, lossbudget.BETA_DEFAULT),
     )
-    # the default name is the label budget_total gives a bare pair
-    assert budget_total(built).per_component[1][0] == budget_total(
-        [(0.1, 1e-3), (0.9, 2e-7)]
-    ).per_component[1][0]
     with pytest.raises(InputError, match=r"here: bad component row 1: unknown keys \['nc'\]"):
         loss_components([rows[0], dict(rows[1], nc=3.0)], "here")
     with pytest.raises(InputError, match="here: bad component row 0: expected an object"):

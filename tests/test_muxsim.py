@@ -17,7 +17,7 @@ CFG = MuxConfig()
 
 def il_db(smat):
     """Positive insertion/isolation numbers from an S-matrix."""
-    return -rfnet.s_to_db(smat.s21)
+    return -20.0 * np.log10(np.abs(smat.s21))
 
 
 # ---------------------------------------------------------------- control
@@ -313,6 +313,11 @@ def test_tau_interpolation():
     assert_allclose(muxsim.switching_tau(6e9), 0.4e-9)
     assert_allclose(muxsim.switching_tau(5e9), 0.5e-9)
     assert_allclose(muxsim.switching_tau(8e9), 0.2e-9)  # end-segment extrapolation
+    for bad in (0.0, -1e9, math.nan):
+        with pytest.raises(InputError, match="carrier frequency"):
+            muxsim.switching_tau(bad)
+    with pytest.raises(OutOfRangeError):
+        muxsim.switching_tau(2e10)
 
 
 # ---------------------------------------------------------------- dissipation

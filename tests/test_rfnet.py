@@ -145,18 +145,12 @@ def test_s_to_abcd_rejects_zero_transmission():
         rfnet.s_to_abcd(rfnet.SMatrix(grid, s))
 
 
-def test_s_to_db():
-    assert rfnet.s_to_db(1.0) == 0.0
-    assert rfnet.s_to_db(0.0) == -np.inf
-    assert_allclose(rfnet.s_to_db(np.array([0.1, 10.0])), [-20.0, 20.0], atol=1e-12)
-
-
 def test_attenuator_db_survives_abcd_round_trip():
     grid = rfnet.FrequencyGrid(np.linspace(4e9, 8e9, 9))
     for db in (0.7, 6.0, 20.0):
         as_abcd = rfnet.s_to_abcd(rfnet.attenuator(grid, db))
         back = rfnet.abcd_to_s(as_abcd)
-        assert_allclose(rfnet.s_to_db(back.s21), -db, atol=1e-9)
+        assert_allclose(20.0 * np.log10(np.abs(back.s21)), -db, atol=1e-9)
 
 
 def test_resistive_series_oracle():
