@@ -1,11 +1,12 @@
 """Simulation and analysis toolkit for multiplexed cryogenic microwave
 resonator characterisation.
 
-Subpackages cover two-port network algebra (``rfnet``), a cryo-CMOS switch
-multiplexer model (``muxsim``), dispersively filtered resonator physics
-(``resonator``), dielectric loss budgeting (``lossbudget``), estimation
-routines (``fitkit``) and measurement-chain synthesis plus the command line
-front end (``chain``, ``cli``).
+Modules: two-port network algebra (``rfnet``), the cryo-CMOS switch
+multiplexer (``muxsim``), resonator physics (``resonator``), dielectric loss
+budgets (``lossbudget``), Stark-shift thermometry (``stark``), the fits
+(``fitkit``), measurement-chain synthesis (``chain``), the JSON and CSV file
+formats (``jsonfile``, ``csvfile``), physical constants (``constants``),
+errors (``errors``) and the command line (``cli``).
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Measurement-chain composition, sweep synthesis and trace persistence.
+"""Measurement-chain composition and sweep synthesis.
 
 A chain is an ordered stack of stages between the instrument and the
 digitizer: attenuators, a switch multiplexer, the device under test, a
@@ -10,7 +10,6 @@ runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -20,28 +19,20 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .constants import BOLTZMANN
-from .csvfile import csv_text
+from .csvfile import read_trace, write_power_points, write_trace  # the benchmark binds these here
 from .errors import BandEdgeWarning, InputError, SingularFitError, WindowError
-from .fitkit import (
-    SPECTRUM_PARAM_NAMES,
-    ComplexTrace,
-    FitResult,
-    PowerSweepPoint,
-    fit_spectrum,
-    photon_axis,
-)
-from .jsonfile import CONFIG_DIR_ENV, resolve_config_path  # re-exported for callers
-from .jsonfile import check_keys, json_float, json_int, read_text, read_versioned, write_text
+from .fitkit import SPECTRUM_PARAM_NAMES, ComplexTrace, FitResult, PowerSweepPoint
+from .fitkit import fit_spectrum, photon_axis
+from .jsonfile import check_keys, json_float, json_int, read_versioned
 from .lossbudget import TlsModel, loss_components, qi_inverse, qi_inverse_with_slope
 from .muxsim import V_DD_NOMINAL, ControlState, MuxConfig, SwitchBranch, mux_s_params
-from .resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
+from .resonator import TWO_PI, CavityLerSystem, dbm_from_watts, mean_photons_from_rates, purcell
+from .resonator import s21_physics, watts_from_dbm
 from .rfnet import FrequencyGrid
 
 RBW_DEFAULT_HZ = 1e3
 AMP_NOISE_TEMP_DEFAULT_K = 4.0
 
-TRACE_HEADER = "freq_hz,s21_re,s21_im"
-POINTS_HEADER = "n_photons,q_loaded,q_uncertainty"
 EXAMPLE_CHAIN_RESOURCE = "data/example_chain.json"
 EXAMPLE_SWEEP_RESOURCE = "data/example_sweep.json"
 
@@ -209,20 +200,7 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# dB and power helpers
-
-
-def watts_from_dbm(p_dbm: float) -> float:
-    try:
-        return 1e-3 * 10.0 ** (p_dbm / 10.0)
-    except OverflowError as exc:
-        raise InputError(f"{p_dbm!r} dBm overflows a power in watts") from exc
-
-
-def dbm_from_watts(p_w: float) -> float:
-    if not (p_w > 0.0):
-        raise InputError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p_w / 1e-3)
+# stage responses and drive power
 
 
 def _stage_response(stage: Stage, grid: FrequencyGrid) -> np.ndarray:
@@ -694,105 +672,3 @@ def example_chain_path() -> str:
 
 def example_sweep_path() -> str:
     return str(resources.files("cryomux") / EXAMPLE_SWEEP_RESOURCE)
-
-
-# ---------------------------------------------------------------------------
-# CSV trace files
-
-
-def trace_csv_text(trace: ComplexTrace) -> str:
-    """Render a trace as CSV with 17 significant digits per field."""
-    return csv_text(TRACE_HEADER, [trace.grid.points, trace.s21.real, trace.s21.imag])
-
-
-def write_trace(path: str, trace: ComplexTrace) -> None:
-    write_text(path, trace_csv_text(trace))
-
-
-def _parse_csv_lines(
-    path: str, text: str, header: str, n_fields: int
-) -> list[tuple[int, list[float]]]:
-    """(line number, row) per data line, by float(); the source of every CSV diagnostic."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
-        found = lines[0].strip() if lines else "<empty file>"
-        raise InputError(
-            f"{path}: line 1: expected header {header!r}, found {found!r}"
-        )
-    names = header.split(",")
-    parsed = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise InputError(
-                f"{path}: line {lineno}: expected {n_fields} fields, "
-                f"got {len(fields)}"
-            )
-        row = []
-        for name, text in zip(names, fields):
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise InputError(
-                    f"{path}: line {lineno}: field {name!r} is not a number: "
-                    f"{text.strip()!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise InputError(
-                    f"{path}: line {lineno}: field {name!r} is not finite: "
-                    f"{text.strip()!r}"
-                )
-            row.append(value)
-        parsed.append((lineno, row))
-    if not parsed:
-        raise InputError(f"{path}: no data rows")
-    return parsed
-
-
-def _parse_csv(path: str, text: str, header: str, n_fields: int) -> np.ndarray:
-    """The (rows, n_fields) floats of a CSV text, as _parse_csv_lines reads them.
-
-    A non-empty body (loadtxt warns on an empty one) in ASCII with no line
-    break but LF and no 0x1f (which loadtxt strips as field whitespace, and
-    str.splitlines or float() do not) is parsed by one np.loadtxt call, kept
-    if each row is n_fields finite values. All else goes to _parse_csv_lines.
-    """
-    head, _, body = text.partition("\n")
-    if head.strip() == header and body.strip() and text.isascii() and not any(
-        c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f"
-    ):
-        try:
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape[1] == n_fields and np.isfinite(rows).all():
-            return rows
-    return np.array([row for _, row in _parse_csv_lines(path, text, header, n_fields)])
-
-
-def read_trace(path: str) -> ComplexTrace:
-    rows = _parse_csv(path, read_text(path), TRACE_HEADER, 3)
-    try:
-        grid = FrequencyGrid(rows[:, 0])
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return ComplexTrace(grid, rows[:, 1] + 1j * rows[:, 2])
-
-
-def write_power_points(path: str, points: Sequence[PowerSweepPoint]) -> None:
-    rows = [(p.n_photons, p.q_loaded, p.q_uncertainty) for p in points]
-    write_text(path, csv_text(POINTS_HEADER, np.array(rows, dtype=np.float64).reshape(-1, 3).T))
-
-
-def read_power_points(path: str) -> tuple[PowerSweepPoint, ...]:
-    text = read_text(path)
-    points = []
-    for index, row in enumerate(_parse_csv(path, text, POINTS_HEADER, 3).tolist()):
-        try:
-            points.append(PowerSweepPoint(*row))
-        except InputError as exc:
-            lineno = _parse_csv_lines(path, text, POINTS_HEADER, 3)[index][0]
-            raise InputError(f"{path}: line {lineno}: {exc}") from exc
-    return tuple(points)

@@ -4,8 +4,8 @@ Subcommands cover sweep synthesis, spectrum and power-sweep fitting, the
 loss budget report, photon-number thermometry and multiplexer programming.
 Exit codes: 0 on success, 2 on malformed input or one too large for memory,
 3 when a fit does not converge (a partial report is still written). Each
-subcommand imports only the modules it calls, so ``loss-budget`` and
-``stark`` run without numpy.
+subcommand imports only the modules it calls: ``loss-budget`` and ``stark``
+load no numpy, and the fits load neither the chain nor the switch model.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _fit_failed(exc: SingularFitError, output: str | None) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import chain
+    from . import chain, csvfile
 
     spec = chain.load_chain_spec(resolve_config_path(args.chain))
     sweep = chain.load_sweep_spec(resolve_config_path(args.sweep))
@@ -64,14 +64,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = replace(spec, rng_seed=args.seed)
     plane = "raw" if args.raw else "calibrated"
     trace = chain.synthesize_sweep(spec, sweep, plane=plane)
-    _emit(chain.trace_csv_text(trace), args.output)
+    _emit(csvfile.trace_csv_text(trace), args.output)
     return 0
 
 
 def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
     import numpy as np
 
-    from . import chain, fitkit
+    from . import fitkit, resonator
 
     report: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -87,7 +87,7 @@ def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
             name: float(s) for name, s in zip(fitkit.SPECTRUM_PARAM_NAMES, diag)
         }
     if result.converged and power_dbm is not None:
-        p_w = chain.watts_from_dbm(power_dbm)
+        p_w = resonator.watts_from_dbm(power_dbm)
         report["power_dbm_at_sample"] = float(power_dbm)
         report["n_photons"] = float(
             fitkit.photon_axis(p_w, result, result.params["f_r"])
@@ -96,9 +96,9 @@ def _spectrum_report(result, power_dbm: float | None) -> tuple[dict, int]:
 
 
 def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
-    from . import chain, fitkit
+    from . import csvfile, fitkit
 
-    trace = chain.read_trace(args.trace)
+    trace = csvfile.read_trace(args.trace)
     try:
         result = fitkit.fit_spectrum(trace)
     except SingularFitError as exc:
@@ -109,9 +109,9 @@ def _cmd_fit_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_power(args: argparse.Namespace) -> int:
-    from . import chain, fitkit
+    from . import csvfile, fitkit
 
-    points = chain.read_power_points(args.points)
+    points = csvfile.read_power_points(args.points)
     try:
         result = fitkit.fit_power_sweep(points, q_c_mag=args.q_c_mag)
     except SingularFitError as exc:

@@ -3,8 +3,8 @@
 Chain, sweep and loss-component files are JSON objects that carry
 ``format_version`` at the top level. This module imports nothing from
 the package but its errors, so every module that loads such a file can
-use it without an import cycle. The CSV files share its text reader,
-float format and text writer. It imports no numpy, for the scalar subcommands.
+use it without an import cycle. The CSV files (csvfile) share its text
+reader and writer. It imports no numpy, for the scalar subcommands.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from typing import Any, Collection, Mapping
 from .errors import InputError
 
 FORMAT_VERSION = 1
-
-#: every float in a written CSV: 17 significant digits round-trip a double exactly
-FLOAT_FORMAT = "%.16e"
-
 
 CONFIG_DIR_ENV = "CRYOMUX_CONFIG_DIR"
 

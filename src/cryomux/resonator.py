@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,13 +52,15 @@ class CavityLerSystem:
     gamma_r: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # numpy scalars' ** gives inf where purcell needs OverflowError
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         for name in ("omega_c", "omega_r", "kappa_i", "kappa_o", "gamma_r"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
+            if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be a finite positive rate, got {value!r}")
-        if not (np.isfinite(self.gamma_c) and self.gamma_c >= 0.0):
+        if not (math.isfinite(self.gamma_c) and self.gamma_c >= 0.0):
             raise InputError(f"gamma_c must be finite and non-negative, got {self.gamma_c!r}")
-        if not (np.isfinite(self.g) and self.g >= 0.0):
+        if not (math.isfinite(self.g) and self.g >= 0.0):
             raise InputError(f"g must be finite and non-negative, got {self.g!r}")
         fastest = max(self.kappa_i, self.kappa_o, self.gamma_r)
         if abs(self.omega_c - self.omega_r) <= DISPERSIVE_MARGIN * fastest:
@@ -201,6 +203,19 @@ def q_relations(q_loaded: float, q_c_mag: float) -> float:
             "so the implied internal loss would be zero or negative"
         )
     return 1.0 / (1.0 / q_loaded - 1.0 / q_c_mag)
+
+
+def watts_from_dbm(p_dbm: float) -> float:
+    try:
+        return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError as exc:
+        raise InputError(f"{p_dbm!r} dBm overflows a power in watts") from exc
+
+
+def dbm_from_watts(p_w: float) -> float:
+    if not (p_w > 0.0):
+        raise InputError("power must be positive to express in dBm")
+    return 10.0 * math.log10(p_w / 1e-3)
 
 
 def mean_photons_from_rates(rates: PurcellRates, gamma_r, p_in, omega_drive):

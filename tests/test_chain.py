@@ -12,11 +12,14 @@ from scipy.constants import k as BOLTZMANN
 from scipy.optimize import minimize_scalar
 
 from cryomux import chain as ch
+from cryomux import csvfile
 from cryomux.errors import BandEdgeWarning, InputError
 from cryomux.fitkit import FitResult, fit_power_sweep, fit_spectrum, photon_axis
+from cryomux.jsonfile import CONFIG_DIR_ENV, resolve_config_path
 from cryomux.lossbudget import BETA_DEFAULT, N_C_DEFAULT, LossComponent, TlsModel, qi_inverse
 from cryomux.muxsim import MuxConfig, SwitchBranch
-from cryomux.resonator import TWO_PI, CavityLerSystem, mean_photons_from_rates, purcell, s21_physics
+from cryomux.resonator import TWO_PI, CavityLerSystem, dbm_from_watts, mean_photons_from_rates
+from cryomux.resonator import purcell, s21_physics, watts_from_dbm
 
 BUNDLED_SYSTEM = CavityLerSystem(
     omega_c=TWO_PI * 6.979e9,
@@ -94,9 +97,9 @@ def test_power_at_sample_linearity():
 
 
 def test_dbm_round_trip():
-    assert_allclose(ch.dbm_from_watts(ch.watts_from_dbm(-163.0)), -163.0, rtol=1e-12)
+    assert_allclose(dbm_from_watts(watts_from_dbm(-163.0)), -163.0, rtol=1e-12)
     with pytest.raises(InputError):
-        ch.dbm_from_watts(0.0)
+        dbm_from_watts(0.0)
 
 
 # ---------------------------------------------------------------- synthesis
@@ -699,7 +702,7 @@ def test_unpowered_mux_gives_same_q_with_larger_error_bars():
     assert fit_off.covariance[idx, idx] > fit_on.covariance[idx, idx]
 
 
-# ---------------------------------------------------------------- files
+# ---------------------------------------------------------------- CSV files (csvfile)
 
 
 def test_trace_csv_round_trip_is_lossless(tmp_path):
@@ -708,8 +711,8 @@ def test_trace_csv_round_trip_is_lossless(tmp_path):
     s21 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     trace = ch.ComplexTrace(grid, s21)
     path = tmp_path / "trace.csv"
-    ch.write_trace(str(path), trace)
-    back = ch.read_trace(str(path))
+    csvfile.write_trace(str(path), trace)
+    back = csvfile.read_trace(str(path))
     assert np.array_equal(back.grid.points, grid.points)
     assert np.array_equal(back.s21, s21)
 
@@ -718,19 +721,19 @@ def test_trace_csv_header_and_row_diagnostics(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frequency,re,im\n1.0,2.0,3.0\n")
     with pytest.raises(InputError, match="line 1"):
-        ch.read_trace(str(path))
+        csvfile.read_trace(str(path))
 
     path.write_text("freq_hz,s21_re,s21_im\n4.0e9,0.1,0.2\n4.1e9,0.3\n")
     with pytest.raises(InputError, match="line 3"):
-        ch.read_trace(str(path))
+        csvfile.read_trace(str(path))
 
     path.write_text("freq_hz,s21_re,s21_im\n4.0e9,0.1,0.2\n4.1e9,spam,0.4\n")
     with pytest.raises(InputError, match="s21_re"):
-        ch.read_trace(str(path))
+        csvfile.read_trace(str(path))
 
     path.write_text("freq_hz,s21_re,s21_im\n")
     with pytest.raises(InputError, match="no data rows"):
-        ch.read_trace(str(path))
+        csvfile.read_trace(str(path))
 
     for text, field in (("nan", "s21_re"), ("-inf", "s21_im"), ("inf", "freq_hz")):
         row = {"freq_hz": "4.1e9", "s21_re": "0.3", "s21_im": "0.4", field: text}
@@ -740,7 +743,7 @@ def test_trace_csv_header_and_row_diagnostics(tmp_path):
             + "\n"
         )
         with pytest.raises(InputError, match=f"line 3: field '{field}' is not finite"):
-            ch.read_trace(str(path))
+            csvfile.read_trace(str(path))
 
 
 def test_power_points_csv_round_trip(tmp_path):
@@ -749,20 +752,20 @@ def test_power_points_csv_round_trip(tmp_path):
         ch.PowerSweepPoint(50.0, 3.4e4, 340.0),
     )
     path = tmp_path / "points.csv"
-    ch.write_power_points(str(path), points)
-    back = ch.read_power_points(str(path))
+    csvfile.write_power_points(str(path), points)
+    back = csvfile.read_power_points(str(path))
     assert back == points
 
     path.write_text("n_photons,q_loaded,q_uncertainty\n1.0,-2.0,3.0\n")
     with pytest.raises(InputError, match="line 2"):
-        ch.read_power_points(str(path))
+        csvfile.read_power_points(str(path))
 
     path.write_text("n_photons,q_loaded,q_uncertainty\n1.0,2.0,3.0\ninf,2.0,3.0\n")
     with pytest.raises(InputError, match="points.csv: line 3: field 'n_photons'"):
-        ch.read_power_points(str(path))
+        csvfile.read_power_points(str(path))
 
 
-H = ch.TRACE_HEADER + "\n"
+H = csvfile.TRACE_HEADER + "\n"
 
 #: (id, file text): inputs on either side of what np.loadtxt and the
 #: per-line parser accept; ids ending in "_sep" hold a character that
@@ -794,7 +797,7 @@ CSV_CORPUS = [
     ("header_only", H),
     ("empty_file", ""),
     ("wrong_header", "f,re,im\n4e9,0.1,0.2\n"),
-    ("header_spaces", " " + ch.TRACE_HEADER + " \n4e9,0.1,0.2\n"),
+    ("header_spaces", " " + csvfile.TRACE_HEADER + " \n4e9,0.1,0.2\n"),
     ("no_break_space", H + "4e9\xa0,0.1,0.2\n"),
     ("form_feed_sep", H + "4e9\x0c,0.1,0.2\n"),
     ("vertical_tab_sep", H + "4e9,0.1\x0b,0.2\n"),
@@ -811,7 +814,7 @@ CSV_CORPUS = [
 def _oracle(path, text):
     """The per-line parser's rows as an array, or its InputError message."""
     try:
-        rows = ch._parse_csv_lines(path, text, ch.TRACE_HEADER, 3)
+        rows = csvfile._parse_csv_lines(path, text, csvfile.TRACE_HEADER, 3)
     except InputError as exc:
         return str(exc)
     return np.array([row for _, row in rows])
@@ -823,14 +826,14 @@ def _oracle(path, text):
 def test_csv_reader_matches_the_per_line_parser(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode("utf-8"))
-    text = ch.read_text(str(path))
+    text = csvfile.read_text(str(path))
     expected = _oracle(str(path), text)
     if isinstance(expected, str):
         with pytest.raises(InputError) as info:
-            ch._parse_csv(str(path), text, ch.TRACE_HEADER, 3)
+            csvfile._parse_csv(str(path), text, csvfile.TRACE_HEADER, 3)
         assert str(info.value) == expected
     else:
-        rows = ch._parse_csv(str(path), text, ch.TRACE_HEADER, 3)
+        rows = csvfile._parse_csv(str(path), text, csvfile.TRACE_HEADER, 3)
         assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
 
 
@@ -841,14 +844,14 @@ def test_trace_csv_round_trip_of_random_traces_is_bit_exact(tmp_path, monkeypatc
     s21 = rng.standard_normal(n_points) * 10.0 ** rng.uniform(-300, 300, n_points)
     trace = ch.ComplexTrace(grid, s21 + 1j * rng.standard_normal(n_points))
     path = tmp_path / "trace.csv"
-    ch.write_trace(str(path), trace)
+    csvfile.write_trace(str(path), trace)
 
     def per_line_parser_called(*args):
         raise AssertionError("a clean trace fell back to the per-line parser")
 
     # a file as write_trace leaves it takes the single loadtxt parse
-    monkeypatch.setattr(ch, "_parse_csv_lines", per_line_parser_called)
-    back = ch.read_trace(str(path))
+    monkeypatch.setattr(csvfile, "_parse_csv_lines", per_line_parser_called)
+    back = csvfile.read_trace(str(path))
     assert back.grid.points.tobytes() == grid.points.tobytes()
     assert back.s21.tobytes() == trace.s21.tobytes()
 
@@ -857,16 +860,16 @@ def test_power_point_error_names_its_line_past_blank_lines(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("n_photons,q_loaded,q_uncertainty\n\n1.0,2.0,3.0\n\n1.0,-2.0,3.0\n")
     with pytest.raises(InputError, match="points.csv: line 5: "):
-        ch.read_power_points(str(path))
+        csvfile.read_power_points(str(path))
 
 
 def test_non_utf8_csv_is_an_input_error_naming_the_file(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(H.encode() + b"4e9,0.1,0.2\xff\n")
     with pytest.raises(InputError, match="cannot read .*trace.csv.*utf-8"):
-        ch.read_trace(str(path))
+        csvfile.read_trace(str(path))
     with pytest.raises(InputError, match="cannot read .*trace.csv.*utf-8"):
-        ch.read_power_points(str(path))
+        csvfile.read_power_points(str(path))
 
 
 # ---------------------------------------------------------------- configs
@@ -1243,6 +1246,6 @@ def test_resolve_config_path_env(tmp_path, monkeypatch):
     config = tmp_path / "alt" / "my_chain.json"
     config.parent.mkdir()
     config.write_text("{}")
-    monkeypatch.setenv(ch.CONFIG_DIR_ENV, str(config.parent))
-    assert ch.resolve_config_path("my_chain.json") == str(config)
-    assert ch.resolve_config_path("other.json") == "other.json"
+    monkeypatch.setenv(CONFIG_DIR_ENV, str(config.parent))
+    assert resolve_config_path("my_chain.json") == str(config)
+    assert resolve_config_path("other.json") == "other.json"

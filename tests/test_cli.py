@@ -11,8 +11,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cryomux import chain as ch
+from cryomux import csvfile
 from cryomux.cli import main
 from cryomux.fitkit import PowerSweepPoint
+from cryomux.jsonfile import CONFIG_DIR_ENV
 from cryomux.resonator import TWO_PI, CavityLerSystem, purcell
 
 BUNDLED_SYSTEM = CavityLerSystem(
@@ -63,8 +65,8 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 
 def test_simulate_raw_plane_carries_chain_gain(tmp_path):
-    calibrated = ch.read_trace(str(simulate(tmp_path, "cal.csv")))
-    raw = ch.read_trace(str(simulate(tmp_path, "raw.csv", ["--raw"])))
+    calibrated = csvfile.read_trace(str(simulate(tmp_path, "cal.csv")))
+    raw = csvfile.read_trace(str(simulate(tmp_path, "raw.csv", ["--raw"])))
     # 60 dB attenuation, mux loss, then 80 dB amplification: net gain
     ratio = np.median(np.abs(raw.s21) / np.abs(calibrated.s21))
     assert 5.0 < ratio < 12.0
@@ -175,7 +177,7 @@ def test_fit_spectrum_unconverged_exits_3(tmp_path):
     f = grid.points
     s21 = (0.3 + 1.0 / (1.0 + 2j * q * (f - f_r) / f_r)) * 1e160
     path = tmp_path / "overflow.csv"
-    ch.write_trace(str(path), ch.ComplexTrace(grid, s21))
+    csvfile.write_trace(str(path), ch.ComplexTrace(grid, s21))
     report_path = tmp_path / "report.json"
     code = main(["fit-spectrum", str(path), "-o", str(report_path)])
     assert code == 3
@@ -206,7 +208,7 @@ def test_fit_spectrum_featureless_trace_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(0)
     s21 = 0.01 * (rng.standard_normal(101) + 1j * rng.standard_normal(101))
     path = tmp_path / "noise.csv"
-    ch.write_trace(str(path), ch.ComplexTrace(grid, s21))
+    csvfile.write_trace(str(path), ch.ComplexTrace(grid, s21))
     code, captured = run(capsys, ["fit-spectrum", str(path)])
     assert code == 2
     assert "error:" in captured.err
@@ -234,7 +236,7 @@ def test_fit_spectrum_nonfinite_field_names_the_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, header",
-    [("fit-spectrum", ch.TRACE_HEADER), ("fit-power", ch.POINTS_HEADER)],
+    [("fit-spectrum", csvfile.TRACE_HEADER), ("fit-power", csvfile.POINTS_HEADER)],
     ids=["fit-spectrum", "fit-power"],
 )
 def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, command, header):
@@ -266,7 +268,7 @@ def test_fit_power_cli_recovers_model(tmp_path):
         PowerSweepPoint(nk, qk, 1e-3 * qk) for nk, qk in zip(n, q)
     )
     path = tmp_path / "points.csv"
-    ch.write_power_points(str(path), points)
+    csvfile.write_power_points(str(path), points)
     report_path = tmp_path / "fit.json"
     code = main(["fit-power", str(path), "-o", str(report_path)])
     assert code == 0
@@ -287,7 +289,7 @@ def test_fit_power_underdetermined_exits_2(tmp_path, capsys):
         PowerSweepPoint(100.0, 2.0e4, 20.0),
     )
     path = tmp_path / "short.csv"
-    ch.write_power_points(str(path), points)
+    csvfile.write_power_points(str(path), points)
     code, captured = run(capsys, ["fit-power", str(path)])
     assert code == 2
     assert "error:" in captured.err
@@ -508,7 +510,7 @@ def test_config_dir_env_resolution(tmp_path, monkeypatch):
     config_dir.mkdir()
     shutil.copy(ch.example_chain_path(), config_dir / "chain.json")
     shutil.copy(ch.example_sweep_path(), config_dir / "sweep.json")
-    monkeypatch.setenv(ch.CONFIG_DIR_ENV, str(config_dir))
+    monkeypatch.setenv(CONFIG_DIR_ENV, str(config_dir))
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "trace.csv"
     code = main(["simulate", "chain.json", "sweep.json", "-o", str(out)])

@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryomux import chain as ch
-from cryomux import muxsim
+from cryomux import csvfile, muxsim
 from cryomux.cli import main
-from cryomux.csvfile import csv_text
+from cryomux.csvfile import FLOAT_FORMAT, csv_text
 from cryomux.fitkit import ComplexTrace
-from cryomux.jsonfile import FLOAT_FORMAT
 from cryomux.rfnet import FrequencyGrid
 
 
@@ -80,13 +79,13 @@ def test_trace_file_bytes_equal_per_row_percent(tmp_path):
     sweep = ch.load_sweep_spec(ch.example_sweep_path())
     trace = ch.synthesize_sweep(spec, sweep, plane="raw")
     path = tmp_path / "trace.csv"
-    ch.write_trace(str(path), trace)
+    csvfile.write_trace(str(path), trace)
     columns = [trace.grid.points, trace.s21.real, trace.s21.imag]
-    assert path.read_bytes() == reference_csv_text(ch.TRACE_HEADER, columns).encode("ascii")
+    assert path.read_bytes() == reference_csv_text(csvfile.TRACE_HEADER, columns).encode("ascii")
     # a negative zero keeps its sign
     s21 = np.array([complex(-0.0, -0.0), 1j])
     signed_zero = ComplexTrace(FrequencyGrid(np.array([1.0, 2.0])), s21)
-    assert ch.trace_csv_text(signed_zero) == (
+    assert csvfile.trace_csv_text(signed_zero) == (
         "freq_hz,s21_re,s21_im\n"
         "1.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
         "2.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00\n"
@@ -97,9 +96,9 @@ def test_points_file_bytes_equal_per_row_percent(tmp_path):
     n = np.logspace(-1.0, 6.0, 25)
     points = [ch.PowerSweepPoint(nk, 1e5 / (1.0 + nk) ** 0.3, 1e3 / (1.0 + nk)) for nk in n]
     path = tmp_path / "points.csv"
-    ch.write_power_points(str(path), points)
+    csvfile.write_power_points(str(path), points)
     columns = np.array([(p.n_photons, p.q_loaded, p.q_uncertainty) for p in points]).T
-    assert path.read_bytes() == reference_csv_text(ch.POINTS_HEADER, columns).encode("ascii")
+    assert path.read_bytes() == reference_csv_text(csvfile.POINTS_HEADER, columns).encode("ascii")
 
 
 def test_mux_program_file_bytes_equal_per_row_percent(tmp_path, capsys):

@@ -58,6 +58,15 @@ def test_degenerate_detuning_raises():
         resonator.purcell(system)
 
 
+@pytest.mark.parametrize("as_type", [float, np.float64], ids=["float", "numpy_scalar"])
+def test_coupling_whose_square_overflows_is_an_input_error_naming_g(as_type):
+    # a numpy scalar's ** gives inf and a RuntimeWarning where a Python float's raises
+    system = make_system(g=as_type(TWO_PI * 1e160))
+    with pytest.raises(InputError, match=r"^g 6\.28.* rad/s is too strong"):
+        resonator.purcell(system)
+    assert all(type(getattr(system, name)) is float for name in ("g", "omega_c", "gamma_c"))
+
+
 def test_marginal_detuning_warns():
     with pytest.warns(DispersiveValidityWarning):
         make_system(omega_r=TWO_PI * (7.0e9 - 50.0e6))
