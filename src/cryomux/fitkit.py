@@ -5,14 +5,13 @@ transmission spectra to resonance parameters, and loaded-Q power sweeps to
 a saturable-loss model. Stark thermometry from ``stark`` is re-exported here.
 
 The minimizer is deliberately small: damped normal equations with
-Marquardt scaling, a caller-supplied analytic Jacobian or else a
-forward-difference one, and box bounds by step clipping. The spectrum and
-power-sweep fits pass the closed-form Jacobians of their models; the
-forward difference serves generic callers and is the tests' oracle for the
-closed forms. Every fit in this package is low-dimensional and well
-scaled, so a compact implementation with fixed, documented convergence
-rules is easier to validate against hand oracles than a general-purpose
-wrapper.
+Marquardt scaling, a caller-supplied Jacobian, and box bounds by step
+clipping. The spectrum and power-sweep fits pass the closed-form Jacobians
+of their models; the forward difference ``_fd_jacobian`` is kept only as
+the tests' oracle for those closed forms. Every fit in this package is
+low-dimensional and well scaled, so a compact implementation with fixed,
+documented convergence rules is easier to validate against hand oracles
+than a general-purpose wrapper.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .rfnet import FrequencyGrid
 # re-exported: the same objects, so patching fitkit.stark_forward reaches every binding
 from .stark import StarkContext, stark_forward, stark_invert
 
-# forward-difference step, relative to each parameter's magnitude
+# _fd_jacobian's step, relative to each parameter's magnitude
 FD_RELATIVE_STEP = 1e-7
 
 LAMBDA_INIT = 1e-3
@@ -142,31 +141,10 @@ class FitResult:
 # minimizer core
 
 
-def _expand_bounds(bounds, size: int) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.full(size, -np.inf)
-    upper = np.full(size, np.inf)
-    if bounds is None:
-        return lower, upper
-    if len(bounds) != size:
-        raise InputError(
-            f"got {len(bounds)} bounds for {size} parameters"
-        )
-    for j, entry in enumerate(bounds):
-        if entry is None:
-            continue
-        lo, hi = entry
-        if lo is not None:
-            lower[j] = lo
-        if hi is not None:
-            upper[j] = hi
-        if lower[j] > upper[j]:
-            raise InputError(f"bound {j} is empty: ({lower[j]!r}, {upper[j]!r})")
-    return lower, upper
-
-
 def _fd_jacobian(
     residuals: Callable[[np.ndarray], np.ndarray], x: np.ndarray, r0: np.ndarray
 ) -> np.ndarray:
+    """Forward differences at x (r0 = residuals(x)): the tests' oracle, unused in the package."""
     jac = np.empty((r0.size, x.size))
     for j in range(x.size):
         step = FD_RELATIVE_STEP * max(abs(x[j]), 1.0)
@@ -180,16 +158,18 @@ def _fd_jacobian(
 def lm_minimize(
     residuals: Callable[[np.ndarray], np.ndarray],
     init: Sequence[float],
-    bounds=None,
-    names: Sequence[str] | None = None,
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    bounds: Sequence[tuple[float, float]],
+    names: Sequence[str],
+    jac: Callable[[np.ndarray], np.ndarray],
 ) -> FitResult:
     """Damped least squares with Marquardt scaling and box bounds.
 
-    residuals maps a parameter vector to a 1-D residual vector. jac, when
-    given, maps the same vector to the residuals' (m, n) Jacobian and is
-    used both in the loop and for the covariance at the optimum; without
-    it both use forward differences. The loop
+    residuals maps a parameter vector to a 1-D residual vector, and jac
+    maps the same vector to the residuals' (m, n) Jacobian, used both in
+    the loop and for the covariance at the optimum. bounds holds one
+    (lower, upper) pair per parameter, with -inf or inf for a free side;
+    names labels the parameters in the result. The loop
     accepts a trial step when the cost does not increase, dividing the
     damping by ten on acceptance and multiplying by ten on rejection.
     Convergence is declared when the relative step falls below LM_STEP_TOL
@@ -201,14 +181,11 @@ def lm_minimize(
     x = np.array(init, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputError("init must be a non-empty 1-D parameter vector")
-    lower, upper = _expand_bounds(bounds, x.size)
+    lower, upper = np.array(bounds, dtype=float).T
     if np.any(x < lower) or np.any(x > upper):
         raise InputError("initial point lies outside the bounds")
-    labels = tuple(names) if names is not None else tuple(
-        f"x{j}" for j in range(x.size)
-    )
-    if len(labels) != x.size:
-        raise InputError(f"got {len(labels)} names for {x.size} parameters")
+    if len(names) != x.size:
+        raise InputError(f"got {len(names)} names for {x.size} parameters")
 
     r = np.asarray(residuals(x), dtype=float).ravel()
     if not np.isfinite(r).all():
@@ -221,8 +198,6 @@ def lm_minimize(
     message = "iteration limit reached"
 
     def jacobian(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        if jac is None:
-            return _fd_jacobian(residuals, x, r)
         jmat = np.asarray(jac(x), dtype=float)
         if jmat.shape != (r.size, x.size):
             raise InputError(
@@ -308,7 +283,7 @@ def lm_minimize(
             covariance = 0.5 * (covariance + covariance.T)
 
     return FitResult(
-        params=dict(zip(labels, x.tolist())),
+        params=dict(zip(names, x.tolist())),
         covariance=covariance,
         residual_norm=float(math.sqrt(2.0 * cost)),
         converged=converged,
@@ -536,7 +511,7 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
             offset0.real,
             offset0.imag,
         ],
-        bounds=bounds + [None] * 4,
+        bounds=bounds + [(-math.inf, math.inf)] * 4,
         names=SPECTRUM_PARAM_NAMES,
         jac=jacobian,
     )
@@ -562,24 +537,6 @@ def fit_spectrum(trace: ComplexTrace) -> FitResult:
         message += "; trace conjugated to the canonical winding before fitting"
     converged = result.converged and not pinned
     return replace(result, params=params, converged=converged, message=message)
-
-
-def lorentzian_from_fit(result: FitResult) -> LorentzianParams:
-    """Line-shape parameters from a spectrum fit result."""
-    p = result.params
-    try:
-        return LorentzianParams(
-            a_scale=p["a_scale"],
-            b_offset=complex(p["offset_re"], p["offset_im"]),
-            f_r=p["f_r"],
-            q_loaded=p["q_loaded"],
-            q_c_mag=p["q_c_mag"],
-            phi=p["phi"],
-        )
-    except KeyError as exc:
-        raise InputError(
-            f"fit result does not carry spectrum parameters (missing {exc})"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +630,7 @@ def fit_power_sweep(
     result = lm_minimize(
         residuals,
         [math.log(pd0), math.log(nc0), 0.5, math.log(q00)],
-        bounds=list(POWER_FIT_BOUNDS),
+        bounds=POWER_FIT_BOUNDS,
         names=POWER_PARAM_NAMES,
         jac=jacobian,
     )
@@ -713,29 +670,29 @@ def tls_model_from_fit(result: FitResult) -> TlsModel:
 # photon calibration
 
 
-def photon_axis(
-    p_in_at_sample: float,
-    fit: FitResult | LorentzianParams,
-    drive_freq: float,
-) -> float:
-    """Mean photon number implied by a fitted spectrum at a known power.
+def photon_axis(p_in_at_sample: float, fit: FitResult, drive_freq: float) -> float:
+    """Mean photon number implied by a converged spectrum fit at a known power.
 
     p_in_at_sample is the power arriving at the sample input in watts;
     drive_freq is the drive frequency in Hz, normally the fitted f_r. The
     background-subtracted peak magnitude and loaded Q feed the measurable
-    photon-number relation.
+    photon-number relation. A power whose photon number overflows a double
+    (from about 2920 dBm on the bundled chain's trace) is an InputError.
     """
-    if isinstance(fit, FitResult):
-        if not fit.converged:
-            raise InputError("photon calibration requires a converged fit")
-        line = lorentzian_from_fit(fit)
-    else:
-        line = fit
+    if not fit.converged:
+        raise InputError("photon calibration requires a converged fit")
+    p = fit.params
+    try:
+        peak = abs(p["a_scale"]) * p["q_loaded"] / p["q_c_mag"]
+    except KeyError as exc:
+        raise InputError(
+            f"fit result does not carry spectrum parameters (missing {exc})"
+        ) from exc
     if not p_in_at_sample >= 0.0:
         raise InputError(f"p_in_at_sample must be non-negative, got {p_in_at_sample!r}")
     if not drive_freq > 0.0:
         raise InputError(f"drive_freq must be positive, got {drive_freq!r}")
-    peak = abs(line.a_scale) * line.q_loaded / line.q_c_mag
-    return mean_photons_measurable(
-        peak, line.q_loaded, p_in_at_sample, TWO_PI * drive_freq
-    )
+    n = mean_photons_measurable(peak, p["q_loaded"], p_in_at_sample, TWO_PI * drive_freq)
+    if not math.isfinite(n):
+        raise InputError(f"the photon number at {p_in_at_sample!r} W is beyond double range")
+    return n

@@ -358,6 +358,8 @@ def programming_time(n_ports: int, t_clk: float, mode: str) -> float:
     if not (t_clk > 0.0):
         raise InputError("t_clk must be positive")
     if mode == "serial":
+        if not n_ports * t_clk < math.inf:
+            raise InputError(f"t_clk {t_clk!r} s times {n_ports} ports is beyond double range")
         return n_ports * t_clk
     if mode == "parallel":
         return t_clk

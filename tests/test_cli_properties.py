@@ -115,6 +115,18 @@ def _edited(kind, holder, key, literal):
     return build
 
 
+def _fit_bundled_trace(power_dbm):
+    """argv factory: fit-spectrum of the bundled chain's trace at power_dbm."""
+
+    def build(tmp_path):
+        trace = str(tmp_path / "trace.csv")
+        bundled = [str(ch.example_chain_path()), str(ch.example_sweep_path())]
+        assert run_cli(["simulate", *bundled, "-o", trace])[0] == 0
+        return ["fit-spectrum", trace, "--power-dbm-at-sample", power_dbm]
+
+    return build
+
+
 HUGE_INT = "1" + "0" * 400
 
 #: case: (argv factory, exit code, a fragment stderr must hold)
@@ -126,6 +138,14 @@ EXTREME_INPUTS = {
         + ["--f-stop-hz", "1e308", "-o", str(tmp_path / "s.csv")],
         2,
         "up to 1e+308 Hz",
+    ),
+    "mux_program_serial_tclk_1e308": (
+        lambda tmp_path: ["mux-program", "--mode", "serial", "--port", "0", "--tclk", "1e308"],
+        2,
+        "t_clk 1e+308 s times 4 ports",
+    ),
+    "fit_spectrum_power_dbm_at_sample_3000": (
+        _fit_bundled_trace("3000"), 2, "the photon number at 1e+297 W is beyond double range"
     ),
     "bandpass_rejection_db_1e308": (
         _edited("chain", _stage("bandpass"), "rejection_db", "1e308"), 0, ""

@@ -24,7 +24,6 @@ from cryomux.fitkit import (
     fit_power_sweep,
     fit_spectrum,
     lm_minimize,
-    lorentzian_from_fit,
     photon_axis,
     spectrum_model_jacobian,
     stark_forward,
@@ -36,12 +35,21 @@ from cryomux.resonator import TWO_PI, LorentzianParams
 from cryomux.rfnet import FrequencyGrid
 
 RNG = np.random.default_rng(20260822)
+FREE = (-math.inf, math.inf)
+
+
+def fd_jac(residuals):
+    """The forward-difference oracle as a Jacobian callable for lm_minimize."""
+    return lambda x: fitkit._fd_jacobian(residuals, x, residuals(x))
 
 
 # ---------------------------------------------------------------- minimizer
 
 def test_linear_residual_reaches_root():
-    result = lm_minimize(lambda x: np.array([x[0] - 3.0]), [0.0])
+    def residuals(x):
+        return np.array([x[0] - 3.0])
+
+    result = lm_minimize(residuals, [0.0], bounds=[FREE], names=("x0",), jac=fd_jac(residuals))
     assert result.converged
     assert abs(result.params["x0"] - 3.0) < 1e-8
     assert result.iterations <= 10
@@ -51,7 +59,9 @@ def test_rosenbrock_standard_start():
     def residuals(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-    result = lm_minimize(residuals, [-1.2, 1.0])
+    result = lm_minimize(
+        residuals, [-1.2, 1.0], bounds=[FREE] * 2, names=("x0", "x1"), jac=fd_jac(residuals)
+    )
     assert result.converged
     assert_allclose(
         [result.params["x0"], result.params["x1"]], [1.0, 1.0], atol=1e-8
@@ -67,7 +77,10 @@ def test_linear_regression_covariance_oracle():
     def residuals(x):
         return (x[0] + x[1] * t - y) / sigma
 
-    result = lm_minimize(residuals, [0.0, 0.0], names=("intercept", "slope"))
+    result = lm_minimize(
+        residuals, [0.0, 0.0], bounds=[FREE] * 2, names=("intercept", "slope"),
+        jac=fd_jac(residuals),
+    )
     assert result.converged
 
     design = np.column_stack([np.ones_like(t), t]) / sigma
@@ -81,7 +94,9 @@ def test_linear_regression_covariance_oracle():
     eigenvalues = np.linalg.eigvalsh(result.covariance)
     assert np.all(eigenvalues >= -1e-18)
 
-    exact = lm_minimize(residuals, [0.0, 0.0], jac=lambda x: design)
+    exact = lm_minimize(
+        residuals, [0.0, 0.0], bounds=[FREE] * 2, names=("x0", "x1"), jac=lambda x: design
+    )
     assert exact.converged
     assert_allclose([exact.params["x0"], exact.params["x1"]], beta, atol=1e-8)
     assert_allclose(exact.covariance, expected, rtol=1e-9)
@@ -94,8 +109,9 @@ def test_rosenbrock_analytic_jacobian_matches_fd_path():
     def jac(x):
         return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-    fd = lm_minimize(residuals, [-1.2, 1.0])
-    exact = lm_minimize(residuals, [-1.2, 1.0], jac=jac)
+    free = dict(bounds=[FREE] * 2, names=("x0", "x1"))
+    fd = lm_minimize(residuals, [-1.2, 1.0], **free, jac=fd_jac(residuals))
+    exact = lm_minimize(residuals, [-1.2, 1.0], **free, jac=jac)
     assert fd.converged and exact.converged
     assert_allclose(
         [exact.params["x0"], exact.params["x1"]],
@@ -104,7 +120,7 @@ def test_rosenbrock_analytic_jacobian_matches_fd_path():
     )
     assert_allclose([exact.params["x0"], exact.params["x1"]], [1.0, 1.0], atol=1e-8)
     with pytest.raises(InputError, match="shape"):
-        lm_minimize(residuals, [-1.2, 1.0], jac=lambda x: jac(x).T[:1])
+        lm_minimize(residuals, [-1.2, 1.0], **free, jac=lambda x: jac(x).T[:1])
 
 
 def test_nonfinite_during_search_is_diverged_not_raised():
@@ -113,7 +129,7 @@ def test_nonfinite_during_search_is_diverged_not_raised():
             return np.array([np.nan])
         return np.array([-3.0])
 
-    result = lm_minimize(residuals, [0.0])
+    result = lm_minimize(residuals, [0.0], bounds=[FREE], names=("x0",), jac=fd_jac(residuals))
     assert not result.converged
     assert "non-finite" in result.message
 
@@ -123,19 +139,28 @@ def test_no_improving_step_raises_after_damping_cap():
         return np.array([1.0]) if x[0] == 0.0 else np.array([2.0])
 
     with pytest.raises(SingularFitError):
-        lm_minimize(residuals, [0.0])
+        lm_minimize(residuals, [0.0], bounds=[FREE], names=("x0",), jac=fd_jac(residuals))
 
 
 def test_init_validation():
+    def nan(x):
+        return np.array([np.nan])
+
+    def identity(x):
+        return np.array([x[0]])
+
     with pytest.raises(InputError):
-        lm_minimize(lambda x: np.array([np.nan]), [0.0])
+        lm_minimize(nan, [0.0], bounds=[FREE], names=("x0",), jac=fd_jac(nan))
     with pytest.raises(InputError):
-        lm_minimize(lambda x: np.array([x[0]]), [5.0], bounds=[(0.0, 1.0)])
+        lm_minimize(identity, [5.0], bounds=[(0.0, 1.0)], names=("x0",), jac=fd_jac(identity))
 
 
 def test_bounds_pin_the_solution():
+    def residuals(x):
+        return np.array([x[0] - 3.0])
+
     result = lm_minimize(
-        lambda x: np.array([x[0] - 3.0]), [0.0], bounds=[(None, 2.0)]
+        residuals, [0.0], bounds=[(-math.inf, 2.0)], names=("x0",), jac=fd_jac(residuals)
     )
     assert result.converged
     assert_allclose(result.params["x0"], 2.0, atol=1e-12)
@@ -148,7 +173,10 @@ def test_covariance_drops_a_rank_deficient_direction_as_pinv_does():
     t = np.linspace(0.0, 1.0, 40)
     y = 0.5 + 1.5 * t + 0.01 * np.sin(7.0 * t)
     design = np.column_stack([np.ones_like(t), t, t])
-    result = lm_minimize(lambda x: design @ x - y, [0.0, 0.0, 0.0], jac=lambda x: design)
+    result = lm_minimize(
+        lambda x: design @ x - y, [0.0, 0.0, 0.0], bounds=[FREE] * 3, names=("x0", "x1", "x2"),
+        jac=lambda x: design,
+    )
     assert result.converged
     normal = design.T @ design
     d = np.sqrt(np.diag(normal))
@@ -168,7 +196,9 @@ def test_iteration_limit_reports_unconverged(monkeypatch):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
     monkeypatch.setattr(fitkit, "LM_MAX_ITER", 2)
-    result = lm_minimize(residuals, [-1.2, 1.0])
+    result = lm_minimize(
+        residuals, [-1.2, 1.0], bounds=[FREE] * 2, names=("x0", "x1"), jac=fd_jac(residuals)
+    )
     assert not result.converged
     assert result.iterations == 2
     assert "limit" in result.message
@@ -211,14 +241,14 @@ def test_fd_jacobian_matches_analytic():
 def spy_lm(monkeypatch, drop_jac=False):
     """Record (residuals, jac, init, optimum) of each lm_minimize call.
 
-    With drop_jac the caller's Jacobian is withheld, which forces the
-    forward-difference path.
+    With drop_jac the minimizer gets the forward-difference oracle in
+    place of the caller's Jacobian.
     """
     calls = []
     original = fitkit.lm_minimize
 
-    def spy(residuals, init, jac=None, **kwargs):
-        result = original(residuals, init, jac=None if drop_jac else jac, **kwargs)
+    def spy(residuals, init, *, jac, **kwargs):
+        result = original(residuals, init, jac=fd_jac(residuals) if drop_jac else jac, **kwargs)
         optimum = np.array(list(result.params.values()))
         calls.append((residuals, jac, np.array(init, dtype=float), optimum))
         return result
@@ -534,8 +564,8 @@ def test_fit_noiseless_trace_exact():
     assert_allclose(result.params["q_loaded"], params.q_loaded, rtol=1e-6)
     assert_allclose(result.params["q_c_mag"], params.q_c_mag, rtol=1e-6)
     assert_allclose(result.params["phi"], params.phi, atol=1e-6)
-    line = lorentzian_from_fit(result)
-    assert_allclose(line.b_offset, params.b_offset, atol=1e-6)
+    offset = complex(result.params["offset_re"], result.params["offset_im"])
+    assert_allclose(offset, params.b_offset, atol=1e-6)
 
 
 def test_fit_noisy_roundtrip_sample():
@@ -784,18 +814,19 @@ def test_stark_validation():
 # ---------------------------------------------------------------- photons
 
 def test_photon_axis_hand_oracle():
-    line = LorentzianParams(
-        a_scale=1.0,
-        b_offset=0.0,
-        f_r=4.78e9,
-        q_loaded=7e6,
-        q_c_mag=7e6 / 0.14,
-        phi=0.0,
+    line = FitResult(
+        params=dict(a_scale=1.0, f_r=4.78e9, q_loaded=7e6, q_c_mag=7e6 / 0.14, phi=0.0),
+        covariance=None,
+        residual_norm=0.0,
+        converged=True,
+        iterations=1,
     )
     n = photon_axis(5.01e-20, line, 4.78e9)
     assert_allclose(n, 1.0323, rtol=1e-3)
     assert photon_axis(0.0, line, 4.78e9) == 0.0
     assert_allclose(photon_axis(5.01e-19, line, 4.78e9), 10.0 * n, rtol=1e-12)
+    with pytest.raises(InputError, match="beyond double range"):
+        photon_axis(1e300, line, 4.78e9)
 
 
 def test_photon_axis_requires_convergence():
@@ -804,3 +835,8 @@ def test_photon_axis_requires_convergence():
     )
     with pytest.raises(InputError):
         photon_axis(1e-20, unconverged, 4.78e9)
+    power_fit = FitResult(
+        params={"beta": 0.5}, covariance=None, residual_norm=1.0, converged=True, iterations=5
+    )
+    with pytest.raises(InputError, match="does not carry spectrum parameters"):
+        photon_axis(1e-20, power_fit, 4.78e9)
